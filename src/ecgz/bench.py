@@ -102,15 +102,9 @@ class DatabaseReport:
     def max_bcr(self) -> float:
         return max(r.bcr for r in self.record_rows())
 
-    def min_bcr(self) -> float:
-        return min(r.bcr for r in self.record_rows())
-
     def average_ideal_bcr(self) -> float:
         rows = self.record_rows()
         return sum(r.ideal_bcr for r in rows) / len(rows)
-
-    def max_ideal_bcr(self) -> float:
-        return max(r.ideal_bcr for r in self.record_rows())
 
     def average_selective_bcr(self, m: int) -> float:
         rows = self.record_rows()
@@ -121,10 +115,6 @@ class DatabaseReport:
 
     def best_selective_bcr(self) -> float:
         return self.average_selective_bcr(self.best_m())
-
-    def max_selective_bcr(self, m: int | None = None) -> float:
-        m = self.best_m() if m is None else m
-        return max(r.selective_bcr[m] for r in self.record_rows())
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -246,9 +236,7 @@ def run_database_eval(
             resync_e_frames=cfg.resync_e_frames,
         )
         use = channels[: encoder.MAX_CHANNELS]
-        rows.extend(
-            evaluate_channels(record.name, [c.tolist() for c in use], ch_cfg, orig_bits, m_values)
-        )
+        rows.extend(evaluate_channels(record.name, use, ch_cfg, orig_bits, m_values))
     return DatabaseReport(rows, missing, orig_bits, tuple(m_values), cfg)
 
 

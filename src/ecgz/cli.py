@@ -29,6 +29,9 @@ format 212) and point --data or ECGZ_MITDB_DIR at the directory.
 """
 
 
+CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write by decompress
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ecgz", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -112,14 +115,14 @@ def _detect_format(path: Path, flag) -> str:
 
 
 def _load_input(path: Path, fmt: str, channels_flag, rate: float):
-    """Returns (channels as lists, sample_rate)."""
+    """Returns (channels as lists or int64 arrays, sample_rate)."""
     if fmt == "csv":
         chans = ingest.read_csv(path.read_text(), channels_flag)
         return chans, rate
     record, arrays = ingest.load_record(path)
     if channels_flag is not None and channels_flag != len(arrays):
         raise ValueError(f"record has {len(arrays)} channels, --channels says {channels_flag}")
-    return [a.tolist() for a in arrays], record.sampling_frequency
+    return arrays, record.sampling_frequency
 
 
 def cmd_compress(args) -> int:
@@ -156,9 +159,13 @@ def cmd_decompress(args) -> int:
         decoder.decode_channel(frames, count, meta.predictor_order)
         for frames, count in zip(channel_frames, meta.sample_counts)
     ]
+    rows = min(meta.sample_counts, default=0)  # a row per time step every channel has
+    table = np.column_stack([c[:rows] for c in channels]) if rows else None
+    fmt = ",".join(["%d"] * len(channels)) + "\n"
     with open(args.output, "w") as fh:
-        for row in zip(*channels) if channels else []:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for i in range(0, rows, CSV_CHUNK_ROWS):
+            block = table[i : i + CSV_CHUNK_ROWS]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
     print(f"{args.input}: restored {sum(meta.sample_counts)} samples to {args.output}")
     return 0
 
@@ -174,11 +181,13 @@ def cmd_verify(args) -> int:
         if meta.sample_counts[ch] != len(samples):
             print(f"channel {ch}: length differs, source {len(samples)}, container {meta.sample_counts[ch]}")
             return 1
-        decoded = decoder.decode_channel(channel_frames[ch], meta.sample_counts[ch], meta.predictor_order)
-        for i, (a, b) in enumerate(zip(samples, decoded)):
-            if a != b:
-                print(f"channel {ch}: mismatch at sample index {i} ({a} != {b})")
-                return 1
+        decoded = np.asarray(decoder.decode_channel(channel_frames[ch], meta.sample_counts[ch], meta.predictor_order))
+        source = np.asarray(samples, dtype=np.int64)
+        differ = np.flatnonzero(source != decoded)
+        if differ.size:
+            i = int(differ[0])
+            print(f"channel {ch}: mismatch at sample index {i} ({source[i]} != {decoded[i]})")
+            return 1
     print(f"{args.compressed}: matches {args.original} exactly")
     return 0
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import predictor
 from .bitio import sign_extend
-from .encoder import FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E, FrameType
+from .encoder import FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E, FRAME_TYPES, FrameType
 from .errors import CorruptStreamError, ReservedHeaderError, TruncationError
 
 
@@ -64,61 +66,73 @@ def frame_sample_count(word: int) -> int:
     return parse_header(word).field_count
 
 
+# Samples per frame by the top four bits of a word; 0 marks the reserved header.
+_COUNT_BY_TOP4 = np.array([6, 4, 0, 1] + [2] * 4 + [3] * 8)  # D, C, reserved, E, then B and A
+
+
 def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -> list[int]:
     """Losslessly rebuild one channel from its frame words.
 
     The frame stream must account for exactly expected_count samples;
-    anything short, long, or malformed raises.
+    anything short, long, or malformed raises. Of several defects the
+    first in stream order is reported, as a frame-by-frame decoder would.
     """
-    coef = predictor.coefficients(order)
-    history = predictor.zero_state(order)
+    L = len(predictor.coefficients(order))
+    words = np.asarray(frames, dtype=np.int64)
+    counts = np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
+    ends = np.cumsum(counts)
+    bad_word, surplus = _first(counts == 0), _first(ends > expected_count)
+    cut = min(bad_word, surplus)  # frames before the first defect decode normally
+    total = int(ends[cut - 1]) if cut else 0
+    starts = ends[:cut] - counts[:cut] + L
+
+    buf = np.zeros(L + total, dtype=np.int64)  # L zeros of history, then every field
+    is_raw = np.zeros(L + total + 1, dtype=np.int8)
+    is_raw[:L] = is_raw[-1] = 1
+    for ft in FRAME_TYPES.values():
+        sel = counts[:cut] == ft.field_count
+        w, q, half = words[:cut][sel], starts[sel], 1 << (ft.field_width - 1)
+        for j in range(ft.field_count):
+            field = (w >> (16 - ft.header_len - ft.field_width * (j + 1))) & (2 * half - 1)
+            buf[q + j] = (field ^ half) - half
+        is_raw[q] = ft.carries_original
+
+    # Each maximal run of residual samples follows L known outputs. Put
+    # their L-th differences (zeros before them) in their place: L
+    # cumulative sums then restore them and carry on through the run.
+    # While every earlier sample is in range, every partial sum is a
+    # bounded difference, so the first out-of-range sample comes out
+    # exact even where int64 wraps further on.
     lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
-    out: list[int] = []
-    if order == 2:
-        # dedicated path for the default order; the generic loop below is
-        # semantically identical
-        h0 = h1 = 0
-        for word in frames:
-            ftype, fields = unpack_frame(word)
-            if len(out) + ftype.field_count > expected_count:
-                raise CorruptStreamError(
-                    f"frame stream carries more than the declared {expected_count} samples"
-                )
-            if ftype.carries_original:
-                h1 = h0
-                h0 = fields[0]
-                out.append(h0)
-            else:
-                for e in fields:
-                    x = 2 * h0 - h1 + e
-                    if not lo <= x <= hi:
-                        raise CorruptStreamError(f"reconstructed sample {x} outside the 12-bit range")
-                    out.append(x)
-                    h1 = h0
-                    h0 = x
-    else:
-        for word in frames:
-            ftype, fields = unpack_frame(word)
-            if len(out) + ftype.field_count > expected_count:
-                raise CorruptStreamError(
-                    f"frame stream carries more than the declared {expected_count} samples"
-                )
-            if ftype.carries_original:
-                x = fields[0]
-                out.append(x)
-                history.insert(0, x)
-                history.pop()
-            else:
-                for e in fields:
-                    x = sum(a * h for a, h in zip(coef, history)) + e
-                    if not lo <= x <= hi:
-                        raise CorruptStreamError(f"reconstructed sample {x} outside the 12-bit range")
-                    out.append(x)
-                    history.insert(0, x)
-                    history.pop()
-    if len(out) != expected_count:
-        raise TruncationError(f"frame stream ended at {len(out)} of {expected_count} samples")
-    return out
+    accumulate = np.add.accumulate
+    edges = np.diff(is_raw)
+    for s, t in zip(np.flatnonzero(edges == -1).tolist(), np.flatnonzero(edges == 1).tolist()):
+        span = buf[s + 1 - L : t + 1]
+        d = span[:L].tolist()
+        if min(d) < lo or max(d) > hi:
+            break  # an earlier sample is already out of range
+        for _ in range(L):
+            d = [d[0]] + [b - a for a, b in zip(d, d[1:])]
+        span[:L] = d
+        for _ in range(L):
+            accumulate(span, out=span)
+    out = buf[L:]
+    wrong = _first((out < lo) | (out > hi))
+    if wrong < total:
+        raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
+    if bad_word < surplus:
+        parse_header(int(words[bad_word]))  # raises for this word
+    if surplus < bad_word:
+        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
+    if total != expected_count:
+        raise TruncationError(f"frame stream ended at {total} of {expected_count} samples")
+    return out.tolist()
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in mask, or len(mask) when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
 
 
 def decode_resilient(

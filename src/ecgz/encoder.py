@@ -76,14 +76,14 @@ def min_width_class(e: int) -> int:
     return ESC
 
 
+# Width class by magnitude m (e for e >= 0, -e - 1 below), capped at 64.
+_WIDTH_BY_MAGNITUDE = np.array([min_width_class(m) for m in range(65)], dtype=np.int64)
+
+
 def width_classes(errors: np.ndarray) -> np.ndarray:
     """Vectorized min_width_class over an int64 residual array."""
     e = np.asarray(errors, dtype=np.int64)
-    out = np.full(e.shape, ESC, dtype=np.int64)
-    for c in reversed(WIDTH_CLASSES):
-        shifted = e >> (c - 1)
-        out = np.where((shifted == 0) | (shifted == -1), c, out)
-    return out
+    return _WIDTH_BY_MAGNITUDE[np.minimum(e ^ (e >> 63), 64)]
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,6 @@ def frame_enable(queue: Sequence[PendingSample]) -> set[str]:
     return _enabled_tags([p.width for p in queue])
 
 
-def _select_type(widths: Sequence[int]) -> FrameType:
-    enabled = _enabled_tags(widths)
-    for ft in PRIORITY:
-        if ft.tag in enabled:
-            return ft
-    raise AssertionError("unreachable: Type E is always enabled")
-
-
 def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> FrameType:
     """Pick the frame type for the queue front.
 
@@ -127,7 +119,11 @@ def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> Fra
         raise ValueError("select_frame needs at least one queued sample")
     if resync_pending > 0:
         return FRAME_E
-    return _select_type([p.width for p in queue])
+    enabled = _enabled_tags([p.width for p in queue])
+    for ft in PRIORITY:
+        if ft.tag in enabled:
+            return ft
+    raise AssertionError("unreachable: Type E is always enabled")
 
 
 def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
@@ -220,49 +216,70 @@ def encode_channel_indexed(
     words[i]; frames emitted by the final flush get position
     len(samples). Output is bit-identical to the streaming encoder.
     """
-    cfg = config or EncoderConfig()
-    err_arr = predictor.residuals(samples, cfg.order)  # validates sample range
-    widths = width_classes(err_arr).tolist()
-    errs = err_arr.tolist()
-    origs = np.asarray(samples, dtype=np.int64).tolist()
-    n = len(errs)
+    words, positions = _encode_arrays(samples, config or EncoderConfig())
+    return words.tolist(), positions.tolist()
 
-    words: list[int] = []
-    positions: list[int] = []
-    qs = 0  # queue = samples[qs .. i]
-    pending = 0
-    since = 0
-    interval = cfg.resync_interval_samples
-    e_frames = cfg.resync_e_frames
-    for i in range(n):
-        if i + 1 - qs == 6:
-            ftype = FRAME_E if pending else _select_type(widths[qs : i + 1])
-            words.append(_pack_at(ftype, origs, errs, qs))
-            positions.append(i)
-            if pending:
-                pending -= 1
-            qs += ftype.field_count
-        since += 1
-        if interval and since >= interval:
-            pending = e_frames
-            since = 0
+
+def _frame_counts(widths: np.ndarray) -> np.ndarray:
+    """Greedy frame size for a queue front at every start position.
+
+    Widths past the end are padded above ESC, so the same table serves
+    the final flush, where only types that fit the short queue qualify.
+    """
+    w = np.concatenate([widths, np.full(6, ESC + 1)]).astype(np.int8)
+    widest = {2: np.maximum(w[:-1], w[1:])}  # widest[k][i]: widest of the k samples from i
+    widest[3] = np.maximum(widest[2][:-1], w[2:])
+    widest[4] = np.maximum(widest[3][:-1], w[3:])
+    widest[6] = np.maximum(widest[4][:-2], widest[2][4:])
+    counts = np.full(widths.size, FRAME_E.field_count, dtype=np.int8)
+    for ft in reversed(PRIORITY[:-1]):  # the densest type is written last and wins
+        counts[widest[ft.field_count][: widths.size] <= ft.field_width] = ft.field_count
+    return counts
+
+
+def _frame_starts(counts: list[int], n: int, interval: int, e_frames: int) -> list[int]:
+    """First sample of every frame, walked a frame (not a sample) at a time.
+
+    The frame starting at qs goes out when sample qs + 5 arrives, or in
+    the final flush once qs + 5 >= n. A resync fired after sample
+    k * interval - 1 forces Type E on the next e_frames emissions; a
+    later one restarts the count, and the flush ignores it.
+    """
+    starts: list[int] = []
+    append = starts.append
+    qs, fire = 0, interval or n  # fire: first emission position with a resync pending
+    while qs + 5 < n:
+        stop = min(n, fire) - 5
+        while qs < stop:
+            append(qs)
+            qs += counts[qs]
+        if qs + 5 < n:
+            fire = ((qs + 5) // interval + 1) * interval
+            forced_end = min(qs + e_frames, n - 5, fire - 5)
+            starts.extend(range(qs, forced_end))
+            qs = forced_end
     while qs < n:
-        ftype = _select_type(widths[qs:n])
-        words.append(_pack_at(ftype, origs, errs, qs))
-        positions.append(n)
-        qs += ftype.field_count
-    return words, positions
+        append(qs)
+        qs += counts[qs]
+    return starts
 
 
-def _pack_at(ftype: FrameType, origs: list[int], errs: list[int], qs: int) -> int:
-    if ftype.carries_original:
-        return (ftype.header_bits << SAMPLE_BITS) | (origs[qs] & ((1 << SAMPLE_BITS) - 1))
-    w = ftype.field_width
-    mask = (1 << w) - 1
-    word = ftype.header_bits
-    for j in range(qs, qs + ftype.field_count):
-        word = (word << w) | (errs[j] & mask)
-    return word
+def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Frame words and emission positions of one channel, as int64 arrays."""
+    err = predictor.residuals(samples, cfg.order)  # validates sample range
+    n = err.size
+    counts = _frame_counts(width_classes(err)).tolist()
+    starts = np.array(_frame_starts(counts, n, cfg.resync_interval_samples, cfg.resync_e_frames), dtype=np.int64)
+    sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
+    x = np.asarray(samples, dtype=np.int64)
+    words = np.zeros(starts.size, dtype=np.int64)
+    for ft in FRAME_TYPES.values():
+        sel = sizes == ft.field_count
+        q, word, source = starts[sel], ft.header_bits, x if ft.carries_original else err
+        for j in range(ft.field_count):
+            word = (word << ft.field_width) | (source[q + j] & ((1 << ft.field_width) - 1))
+        words[sel] = word
+    return words, np.minimum(starts + 5, n)
 
 
 @dataclass
@@ -312,12 +329,10 @@ def encode_channels(
     if len(lengths) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
     nch = len(channels)
-    frames: list[list[int]] = []
-    keyed: list[tuple[int, int, int]] = []
-    for ch, samples in enumerate(channels):
-        words, positions = encode_channel_indexed(samples, cfg)
-        frames.append(words)
-        for word, pos in zip(words, positions):
-            keyed.append((pos * nch + ch, ch, word))
-    keyed.sort(key=lambda t: t[0])  # stable: flush frames keep channel order
-    return MultiChannelResult(frames, [(ch, word) for _, ch, word in keyed])
+    encoded = [_encode_arrays(samples, cfg) for samples in channels]
+    words = np.concatenate([w for w, _ in encoded])
+    chans = np.concatenate([np.full(w.size, ch) for ch, (w, _) in enumerate(encoded)])
+    keys = np.concatenate([pos * nch + ch for ch, (_, pos) in enumerate(encoded)])
+    order = np.argsort(keys, kind="stable")  # flush frames keep channel order
+    log = list(zip(chans[order].tolist(), words[order].tolist()))
+    return MultiChannelResult([w.tolist() for w, _ in encoded], log)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecgz import bitio
+import bitbuffer as bitio
 from ecgz.errors import TruncationError
 
 

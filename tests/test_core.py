@@ -1,0 +1,120 @@
+"""The array encode and decode cores against their scalar references.
+
+The encoder core must emit the streaming ChannelEncoder's words at the
+same positions; the decoder core must return the scalar oracle's samples
+or raise the same EcgzError class, on valid and on damaged streams.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ecgz import decoder, encoder
+from ecgz.encoder import EncoderConfig
+from ecgz.errors import CorruptStreamError, EcgzError
+from oracle import decode_channel_scalar
+
+INTERVALS = [0, 1, 2, 5, 7, 13, 50]
+
+
+def _signal(kind: str, seed: int, n: int) -> list[int]:
+    rng = np.random.default_rng(seed)
+    if kind == "raw_heavy":  # wide residuals: mostly escapes to Type E
+        x = rng.integers(-2048, 2048, size=n)
+    elif kind == "slew":  # steep rail-to-rail sawtooth
+        x = np.cumsum(rng.integers(40, 90, size=n)) % 4096 - 2048
+    elif kind == "flat":  # D-heavy with rare spikes
+        x = np.where(rng.random(n) < 0.03, rng.integers(-2048, 2048, size=n), rng.integers(-1, 2, size=n))
+    else:  # a random walk: the typical A/B/C mix
+        x = np.cumsum(rng.integers(-12, 13, size=n)).clip(-2048, 2047)
+    return x.astype(np.int64).tolist()
+
+
+cases = st.tuples(
+    st.sampled_from(["raw_heavy", "slew", "flat", "walk"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 300),
+    st.integers(1, 4),
+    st.sampled_from(INTERVALS),
+    st.sampled_from([1, 2]),
+)
+
+
+def _config(order, interval, e_frames):
+    return EncoderConfig(resync_interval_samples=interval, order=order, resync_e_frames=e_frames)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases)
+def test_encoder_core_matches_the_streaming_encoder(case):
+    kind, seed, n, order, interval, e_frames = case
+    xs = _signal(kind, seed, n)
+    enc = encoder.ChannelEncoder(_config(order, interval, e_frames))
+    words, positions = [], []
+    for i, x in enumerate(xs):
+        emitted = enc.push_sample(x)
+        words += emitted
+        positions += [i] * len(emitted)
+    tail = enc.flush()
+    words += tail
+    positions += [n] * len(tail)
+    assert encoder.encode_channel_indexed(xs, _config(order, interval, e_frames)) == (words, positions)
+
+
+def _outcome(decode, words, count, order):
+    try:
+        return decode(words, count, order)
+    except EcgzError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases)
+def test_decoder_core_matches_the_scalar_oracle(case):
+    kind, seed, n, order, interval, e_frames = case
+    xs = _signal(kind, seed, n)
+    words = encoder.encode_channel(xs, _config(order, interval, e_frames))
+    assert decoder.decode_channel(words, n, order) == decode_channel_scalar(words, n, order) == xs
+
+
+MUTATIONS = ["random_words", "random_stream", "reserved", "too_many", "truncate", "surplus_frame"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases, st.sampled_from(MUTATIONS), st.integers(0, 2**32 - 1))
+def test_decoder_core_matches_the_oracle_on_damaged_streams(case, mutation, mseed):
+    kind, seed, n, order, interval, e_frames = case
+    words = encoder.encode_channel(_signal(kind, seed, n), _config(order, interval, e_frames))
+    rng = np.random.default_rng(mseed)
+    count = n
+    if mutation == "random_words" and words:  # a few words replaced: any mix of defects
+        for i in rng.integers(0, len(words), size=rng.integers(1, 4)):
+            words[i] = int(rng.integers(0, 1 << 16))
+    elif mutation == "random_stream":  # long residual runs whose sums leave the range
+        words = rng.integers(0, 1 << 16, size=rng.integers(0, 400)).tolist()
+        count = int(rng.integers(0, 1500))
+    elif mutation == "reserved" and words:
+        words[int(rng.integers(len(words)))] = 0x2000 | int(rng.integers(0, 1 << 12))
+    elif mutation == "too_many":
+        count = max(0, n - int(rng.integers(1, 7)))
+    elif mutation == "truncate" and words:
+        words = words[: int(rng.integers(len(words)))]
+    elif mutation == "surplus_frame":
+        words = words + [int(rng.integers(0, 1 << 16)) & 0xDFFF]
+    got = _outcome(decoder.decode_channel, words, count, order)
+    want = _outcome(decode_channel_scalar, words, count, order)
+    assert got == want
+
+
+def test_first_bad_sample_is_exact_where_int64_wraps():
+    # B frames of residuals (-2, -1): at order 4 the run's sums pass 2**63
+    # long before its end; the run after the raw frame starts from garbage
+    words = [0x7F7F] * 200_000 + [0x3000] + [0x7F7F] * 10
+    count = 2 * 200_000 + 1 + 20
+    for order in range(1, 5):
+        with pytest.raises(CorruptStreamError) as core:
+            decoder.decode_channel(words, count, order)
+        with pytest.raises(CorruptStreamError) as oracle:
+            decode_channel_scalar(words, count, order)
+        assert str(core.value) == str(oracle.value)

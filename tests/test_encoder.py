@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import pending, queue_of
-from ecgz import bitio, encoder
+import bitbuffer as bitio
+from ecgz import encoder
 from ecgz.encoder import (
     ESC,
     FRAME_A,
