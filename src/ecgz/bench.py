@@ -431,8 +431,9 @@ class LossHarness:
         self.config = config or encoder.EncoderConfig(channel_count=len(channels) or 1)
         result = encoder.encode_channels(self.channels, self.config)
         self.channel_frames = result.channel_frames
-        self.wire = container.wire_encode(result.emission_log)
-        self.n_units = len(result.emission_log)
+        log = result.emission_log
+        self.wire = container.wire_encode(log)
+        self.n_units = len(log)
         self.expected_frames = [len(f) for f in result.channel_frames]
         self._counts = [
             [decoder.frame_sample_count(w) for w in frames] for frames in result.channel_frames

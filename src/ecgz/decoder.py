@@ -1,12 +1,17 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
-The lossless path mirrors the encoder exactly: shared zero-initialized
-predictor history, residual fields added back onto predictions, Type E
-fields taken as raw samples.
+Both decoders run one array core. It places every field of every frame
+at once, then rebuilds each run of residual-coded samples from the L
+outputs before it: an order-L slope predictor is an L-th difference, so
+L cumulative sums undo it. Type E fields are taken as raw samples, and
+the history starts as L zeros, exactly as in the encoder.
 
-The erasure-tolerant path accepts a stream where whole frames are
-missing (None entries). A missing frame desynchronizes the predictor;
-until enough consecutive raw samples arrive to rebuild its history the
+decode_channel is the lossless path: the stream must account for
+exactly the declared sample count, and any defect raises.
+
+decode_resilient accepts a stream where whole frames are missing (None
+entries). A missing frame desynchronizes the predictor; until L
+consecutive raw (Type E) samples arrive to rebuild its history the
 decoder emits None for every residual-coded sample instead of guessing.
 Because a lost frame may have carried 1..6 samples, erased frames
 contribute no output positions and the caller aligns the result against
@@ -20,7 +25,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import predictor
-from .bitio import sign_extend
 from .encoder import FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E, FRAME_TYPES, FrameType
 from .errors import CorruptStreamError, ReservedHeaderError, TruncationError
 
@@ -48,17 +52,17 @@ def parse_header(word: int) -> FrameType:
     raise ReservedHeaderError(f"word 0x{word:04X} uses the reserved 0010 header")
 
 
+def _field(word, ftype: FrameType, j: int):
+    """Field j of frame words of type ftype, sign-extended (ints or int arrays)."""
+    half = 1 << (ftype.field_width - 1)
+    raw = (word >> (16 - ftype.header_len - ftype.field_width * (j + 1))) & (2 * half - 1)
+    return (raw ^ half) - half
+
+
 def unpack_frame(word: int) -> DecodedFrame:
     """Split a frame word into its type and sign-extended field values."""
     ftype = parse_header(word)
-    w = ftype.field_width
-    mask = (1 << w) - 1
-    fields = []
-    shift = 16 - ftype.header_len
-    for _ in range(ftype.field_count):
-        shift -= w
-        fields.append(sign_extend((word >> shift) & mask, w))
-    return DecodedFrame(ftype, fields)
+    return DecodedFrame(ftype, [_field(word, ftype, j) for j in range(ftype.field_count)])
 
 
 def frame_sample_count(word: int) -> int:
@@ -70,42 +74,66 @@ def frame_sample_count(word: int) -> int:
 _COUNT_BY_TOP4 = np.array([6, 4, 0, 1] + [2] * 4 + [3] * 8)  # D, C, reserved, E, then B and A
 
 
-def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -> list[int]:
-    """Losslessly rebuild one channel from its frame words.
+def _sample_counts(words: np.ndarray) -> np.ndarray:
+    """Samples carried by each word; 0 for the reserved header and non-words."""
+    return np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
 
-    The frame stream must account for exactly expected_count samples;
-    anything short, long, or malformed raises. Of several defects the
-    first in stream order is reported, as a frame-by-frame decoder would.
+
+def _rebuild(
+    words: np.ndarray, counts: np.ndarray, lost: np.ndarray, stop: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode frames [0, stop) into (samples, known) int64 and bool arrays.
+
+    counts holds each frame's sample count, 0 for the erased frames that
+    lost marks. A sample is known when it is raw, or when a run of L
+    consecutive raw samples came before it with no erasure since; the L
+    zeros of initial history count as such a run. Unknown samples hold
+    junk. Raises CorruptStreamError for the first known sample outside
+    the 12-bit range.
     """
     L = len(predictor.coefficients(order))
-    words = np.asarray(frames, dtype=np.int64)
-    counts = np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
-    ends = np.cumsum(counts)
-    bad_word, surplus = _first(counts == 0), _first(ends > expected_count)
-    cut = min(bad_word, surplus)  # frames before the first defect decode normally
-    total = int(ends[cut - 1]) if cut else 0
-    starts = ends[:cut] - counts[:cut] + L
+    words, counts, lost = words[:stop], counts[:stop], lost[:stop]
+    starts = np.cumsum(counts) - counts + L  # buffer index of each frame's first sample
+    n = int(starts[-1] + counts[-1]) if stop else L
 
-    buf = np.zeros(L + total, dtype=np.int64)  # L zeros of history, then every field
-    is_raw = np.zeros(L + total + 1, dtype=np.int8)
-    is_raw[:L] = is_raw[-1] = 1
+    buf = np.zeros(n, dtype=np.int64)  # L zeros of history, then every field
+    is_raw = np.zeros(n + 1, dtype=bool)  # the L zeros count as raw; a stop mark past the end
+    is_raw[:L] = is_raw[n] = True
     for ft in FRAME_TYPES.values():
-        sel = counts[:cut] == ft.field_count
-        w, q, half = words[:cut][sel], starts[sel], 1 << (ft.field_width - 1)
+        sel = counts == ft.field_count
+        w, q = words[sel], starts[sel]
         for j in range(ft.field_count):
-            field = (w >> (16 - ft.header_len - ft.field_width * (j + 1))) & (2 * half - 1)
-            buf[q + j] = (field ^ half) - half
+            buf[q + j] = _field(w, ft, j)
         is_raw[q] = ft.carries_original
 
-    # Each maximal run of residual samples follows L known outputs. Put
-    # their L-th differences (zeros before them) in their place: L
+    # Samples before the first erasure are known. After it, an epoch is
+    # the stretch of samples between two erasures. Tag each sample with
+    # its epoch's first index and with the first index of the raw run it
+    # ends (its own index + 1 if it is residual); a run that reaches L
+    # samples within one epoch resynchronizes the rest of the epoch.
+    known = np.ones(n, dtype=bool)
+    cuts = starts[lost]
+    if cuts.size:
+        f = int(cuts[0])
+        pos = np.arange(f, n)
+        epoch = np.zeros(n + 1 - f, dtype=np.int64)
+        epoch[cuts - f] = cuts
+        epoch = np.maximum.accumulate(epoch[: n - f])
+        raw = is_raw[f:n]
+        run_start = np.maximum(np.maximum.accumulate(np.where(raw, 0, pos + 1)), epoch)
+        synced_at = np.maximum.accumulate(np.where(pos - run_start >= L - 1, pos, -1))
+        known[f:] = raw | (synced_at >= epoch)
+        raw |= ~known[f:]  # the loop below leaves unknown samples alone too
+
+    # Each maximal run of known residual samples follows L known outputs.
+    # Put their L-th differences (zeros before them) in their place: L
     # cumulative sums then restore them and carry on through the run.
     # While every earlier sample is in range, every partial sum is a
     # bounded difference, so the first out-of-range sample comes out
     # exact even where int64 wraps further on.
     lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
     accumulate = np.add.accumulate
-    edges = np.diff(is_raw)
+    edges = np.diff(is_raw.view(np.int8))
     for s, t in zip(np.flatnonzero(edges == -1).tolist(), np.flatnonzero(edges == 1).tolist()):
         span = buf[s + 1 - L : t + 1]
         d = span[:L].tolist()
@@ -116,17 +144,11 @@ def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -
         span[:L] = d
         for _ in range(L):
             accumulate(span, out=span)
-    out = buf[L:]
-    wrong = _first((out < lo) | (out > hi))
-    if wrong < total:
+    out, known = buf[L:], known[L:]
+    wrong = _first(known & ((out < lo) | (out > hi)))
+    if wrong < out.size:
         raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
-    if bad_word < surplus:
-        parse_header(int(words[bad_word]))  # raises for this word
-    if surplus < bad_word:
-        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
-    if total != expected_count:
-        raise TruncationError(f"frame stream ended at {total} of {expected_count} samples")
-    return out.tolist()
+    return out, known
 
 
 def _first(mask: np.ndarray) -> int:
@@ -135,11 +157,29 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
+def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -> list[int]:
+    """Losslessly rebuild one channel from its frame words.
+
+    The frame stream must account for exactly expected_count samples;
+    anything short, long, or malformed raises. Of several defects the
+    first in stream order is reported, as a frame-by-frame decoder would.
+    """
+    words = np.asarray(frames, dtype=np.int64)
+    counts = _sample_counts(words)
+    bad_word, surplus = _first(counts == 0), _first(np.cumsum(counts) > expected_count)
+    # frames before the first defect decode normally
+    out, _ = _rebuild(words, counts, np.zeros(words.size, dtype=bool), min(bad_word, surplus), order)
+    if bad_word < surplus:
+        parse_header(int(words[bad_word]))  # raises for this word
+    if surplus < bad_word:
+        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
+    if out.size != expected_count:
+        raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
+    return out.tolist()
+
+
 def decode_resilient(
-    frames: Iterable[int | None],
-    expected_count: int,
-    order: int = 2,
-    resync_originals: int | None = None,
+    frames: Iterable[int | None], expected_count: int, order: int = 2
 ) -> tuple[list[int | None], list[tuple[int, int]]]:
     """Decode a frame stream that may contain whole-frame erasures.
 
@@ -148,105 +188,31 @@ def decode_resilient(
     come out as None; unknown_spans lists the maximal [start, stop) runs
     of None in the output.
 
-    After an erasure the channel stays desynchronized until
-    resync_originals consecutive raw (Type E) samples arrive; that
-    defaults to the predictor order, the count needed to rebuild history
-    exactly. Passing a smaller value resumes earlier by padding the
-    missing history with the oldest known sample, trading exactness for
-    a shorter outage: samples decoded on padded history are approximate
-    (clamped into the 12-bit range when the drifted prediction leaves
-    it) until a full run of raw samples rebuilds the history.
+    After an erasure the channel stays desynchronized until as many
+    consecutive raw (Type E) samples arrive as the predictor order, the
+    count needed to rebuild its history exactly.
 
     Erased frames contribute no output entries, so when losses occurred
     len(samples) < expected_count and absolute positions past the first
     loss are only as good as the caller's alignment. On a loss-free
-    stream the result equals decode_channel exactly.
+    stream the result equals decode_channel exactly. A stream that
+    carries more than expected_count samples raises; a short one raises
+    only when no frame was erased.
     """
-    coef = predictor.coefficients(order)
-    L = len(coef)
-    if resync_originals is None:
-        resync_originals = L
-    if not 1 <= resync_originals <= L:
-        raise ValueError(f"resync_originals must be 1..{L} for order {order}")
-
-    recent: list[int | None] = [0] * L  # last L output samples, most recent first
-    synced = True
-    exact = True  # history matches the encoder's, not a padded stand-in
-    raw_run = 0  # consecutive raw samples just seen
-    saw_loss = False
-    out: list[int | None] = []
-    for word in frames:
-        if word is None:
-            # The lost frame carried an unknown number of samples, so the
-            # samples already in recent are no longer adjacent to whatever
-            # comes next; only raw samples received after this point count.
-            synced = False
-            saw_loss = True
-            raw_run = 0
-            recent = [None] * L
-            continue
-        ftype, fields = unpack_frame(word)
-        if ftype.carries_original:
-            x = fields[0]
-            out.append(x)
-            recent.insert(0, x)
-            recent.pop()
-            raw_run += 1
-            if not synced and raw_run >= resync_originals:
-                for i in range(raw_run, L):
-                    recent[i] = recent[raw_run - 1]
-                synced = True
-                exact = raw_run >= L
-            elif raw_run >= L:
-                exact = True
-        elif synced:
-            raw_run = 0
-            if L == 2 and exact:
-                # while synced the history holds plain ints; same loop as the
-                # generic branch with the order-2 prediction spelled out
-                h0, h1 = recent
-                for e in fields:
-                    x = 2 * h0 - h1 + e
-                    if not predictor.SAMPLE_MIN <= x <= predictor.SAMPLE_MAX:
-                        raise CorruptStreamError(f"reconstructed sample {x} outside the 12-bit range")
-                    out.append(x)
-                    h1 = h0
-                    h0 = x
-                recent[0] = h0
-                recent[1] = h1
-            else:
-                for e in fields:
-                    x = sum(a * h for a, h in zip(coef, recent)) + e
-                    if not predictor.SAMPLE_MIN <= x <= predictor.SAMPLE_MAX:
-                        if exact:
-                            raise CorruptStreamError(f"reconstructed sample {x} outside the 12-bit range")
-                        # padded history drifts; pin the approximation in range
-                        x = max(predictor.SAMPLE_MIN, min(predictor.SAMPLE_MAX, x))
-                    out.append(x)
-                    recent.insert(0, x)
-                    recent.pop()
-        else:
-            raw_run = 0
-            for _ in fields:
-                out.append(None)
-                recent.insert(0, None)
-                recent.pop()
-    if len(out) > expected_count:
+    received = np.array(list(frames), dtype=object)
+    lost = np.equal(received, None)
+    words = np.where(lost, 0, received).astype(np.int64)
+    counts = np.where(lost, 0, _sample_counts(words))
+    bad_word = _first((counts == 0) & ~lost)
+    out, known = _rebuild(words, counts, lost, bad_word, order)
+    if bad_word < words.size:
+        parse_header(int(words[bad_word]))  # raises for this word
+    if out.size > expected_count:
         raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
-    if not saw_loss and len(out) < expected_count:
-        raise TruncationError(f"frame stream ended at {len(out)} of {expected_count} samples")
-    return out, _none_runs(out)
-
-
-def _none_runs(values: Sequence[int | None]) -> list[tuple[int, int]]:
-    spans = []
-    start = None
-    for i, v in enumerate(values):
-        if v is None and start is None:
-            start = i
-        elif v is not None and start is not None:
-            spans.append((start, i))
-            start = None
-    if start is not None:
-        spans.append((start, len(values)))
-    return spans
+    if out.size < expected_count and not lost.any():
+        raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
+    samples = out.astype(object)
+    samples[~known] = None
+    edges = np.diff(np.concatenate(([False], ~known, [False])).view(np.int8))
+    spans = zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist())
+    return samples.tolist(), list(spans)

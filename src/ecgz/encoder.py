@@ -24,7 +24,7 @@ frames can rebuild its predictor history from the raw samples.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -285,7 +285,17 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
 @dataclass
 class MultiChannelResult:
     channel_frames: list[list[int]]
-    emission_log: list[tuple[int, int]] = field(default_factory=list)  # (channel, word) in emission order
+    # per channel, the stream index at which each frame went out; flush
+    # frames count past the end of the stream
+    emission_positions: list[Sequence[int]]
+
+    @property
+    def emission_log(self) -> list[tuple[int, int]]:
+        """(channel, word) pairs in emission order; flushes in channel order."""
+        words = np.concatenate([np.asarray(f, dtype=np.int64) for f in self.channel_frames])
+        chans = np.repeat(np.arange(len(self.channel_frames)), [len(f) for f in self.channel_frames])
+        order = np.argsort(np.concatenate(self.emission_positions), kind="stable")
+        return list(zip(chans[order].tolist(), words[order].tolist()))
 
 
 def encode_multichannel(
@@ -300,18 +310,19 @@ def encode_multichannel(
     cfg = config or EncoderConfig()
     encoders = [ChannelEncoder(cfg) for _ in range(cfg.channel_count)]
     frames: list[list[int]] = [[] for _ in range(cfg.channel_count)]
-    log: list[tuple[int, int]] = []
-    for ch, x in stream:
+    positions: list[list[int]] = [[] for _ in range(cfg.channel_count)]
+    i = -1
+    for i, (ch, x) in enumerate(stream):
         if not 0 <= ch < cfg.channel_count:
             raise ValueError(f"channel id {ch} outside 0..{cfg.channel_count - 1}")
-        for word in encoders[ch].push_sample(x):
-            frames[ch].append(word)
-            log.append((ch, word))
+        emitted = encoders[ch].push_sample(x)
+        frames[ch] += emitted
+        positions[ch] += [i] * len(emitted)
     for ch, enc in enumerate(encoders):
-        for word in enc.flush():
-            frames[ch].append(word)
-            log.append((ch, word))
-    return MultiChannelResult(frames, log)
+        tail = enc.flush()
+        frames[ch] += tail
+        positions[ch] += [i + 1] * len(tail)
+    return MultiChannelResult(frames, positions)
 
 
 def encode_channels(
@@ -330,9 +341,7 @@ def encode_channels(
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
     nch = len(channels)
     encoded = [_encode_arrays(samples, cfg) for samples in channels]
-    words = np.concatenate([w for w, _ in encoded])
-    chans = np.concatenate([np.full(w.size, ch) for ch, (w, _) in enumerate(encoded)])
-    keys = np.concatenate([pos * nch + ch for ch, (_, pos) in enumerate(encoded)])
-    order = np.argsort(keys, kind="stable")  # flush frames keep channel order
-    log = list(zip(chans[order].tolist(), words[order].tolist()))
-    return MultiChannelResult([w.tolist() for w, _ in encoded], log)
+    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
+    return MultiChannelResult(
+        [w.tolist() for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)]
+    )

@@ -7,10 +7,20 @@ The codec itself never needs bit-level I/O: every frame is one 16-bit
 word. Tests use this module to assemble frames a second, independent way.
 """
 
-from ecgz.bitio import sign_extend  # noqa: F401  (tests reach it through this module too)
 from ecgz.errors import TruncationError
 
 MAX_FIELD_BITS = 16
+
+
+def sign_extend(raw: int, n: int) -> int:
+    """Interpret the low n bits of raw as a two's-complement integer."""
+    if n < 1:
+        raise ValueError(f"bit count must be positive, got {n}")
+    if not 0 <= raw < (1 << n):
+        raise ValueError(f"raw value {raw} is not an unsigned {n}-bit pattern")
+    if raw & (1 << (n - 1)):
+        return raw - (1 << n)
+    return raw
 
 
 def _check_width(n: int) -> None:

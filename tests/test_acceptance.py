@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import MITDB_RECORDS, pending, queue_of
-from ecgz import bench, bitio, container, decoder, encoder, ingest
+from ecgz import bench, container, decoder, encoder, ingest
 from ecgz.encoder import FRAME_TYPES, EncoderConfig
 from test_ingest import oracle_unpack
 

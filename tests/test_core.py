@@ -1,8 +1,9 @@
 """The array encode and decode cores against their scalar references.
 
 The encoder core must emit the streaming ChannelEncoder's words at the
-same positions; the decoder core must return the scalar oracle's samples
-or raise the same EcgzError class, on valid and on damaged streams.
+same positions; both decoders must return their scalar oracle's samples
+(and unknown spans) or raise the same EcgzError class, on valid and on
+damaged streams, the erasure-tolerant one also with frames erased.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from ecgz import decoder, encoder
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
-from oracle import decode_channel_scalar
+from oracle import decode_channel_scalar, decode_resilient_scalar
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
 
@@ -81,12 +82,10 @@ def test_decoder_core_matches_the_scalar_oracle(case):
 MUTATIONS = ["random_words", "random_stream", "reserved", "too_many", "truncate", "surplus_frame"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(cases, st.sampled_from(MUTATIONS), st.integers(0, 2**32 - 1))
-def test_decoder_core_matches_the_oracle_on_damaged_streams(case, mutation, mseed):
+def _damaged(case, mutation, rng):
+    """An encoded stream with one kind of damage: (words, declared count, order)."""
     kind, seed, n, order, interval, e_frames = case
     words = encoder.encode_channel(_signal(kind, seed, n), _config(order, interval, e_frames))
-    rng = np.random.default_rng(mseed)
     count = n
     if mutation == "random_words" and words:  # a few words replaced: any mix of defects
         for i in rng.integers(0, len(words), size=rng.integers(1, 4)):
@@ -102,8 +101,48 @@ def test_decoder_core_matches_the_oracle_on_damaged_streams(case, mutation, msee
         words = words[: int(rng.integers(len(words)))]
     elif mutation == "surplus_frame":
         words = words + [int(rng.integers(0, 1 << 16)) & 0xDFFF]
+    return words, count, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases, st.sampled_from(MUTATIONS), st.integers(0, 2**32 - 1))
+def test_decoder_core_matches_the_oracle_on_damaged_streams(case, mutation, mseed):
+    words, count, order = _damaged(case, mutation, np.random.default_rng(mseed))
     got = _outcome(decoder.decode_channel, words, count, order)
     want = _outcome(decode_channel_scalar, words, count, order)
+    assert got == want
+
+
+def _erase(words, erasure, rng):
+    """The stream with some frames replaced by None, the erasure marker."""
+    if erasure == "random":
+        lost = rng.random(len(words)) < rng.uniform(0, 0.3)
+    elif erasure == "burst":
+        lost = np.zeros(len(words), dtype=bool)
+        start = int(rng.integers(0, len(words) + 1))
+        lost[start : start + int(rng.integers(1, 11))] = True
+    elif erasure == "first":
+        lost = np.arange(len(words)) == 0
+    elif erasure == "every":
+        lost = np.ones(len(words), dtype=bool)
+    else:
+        lost = np.zeros(len(words), dtype=bool)
+    return [None if gone else w for w, gone in zip(words, lost.tolist())]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    cases,
+    st.sampled_from(["intact"] + MUTATIONS),
+    st.sampled_from(["none", "random", "burst", "first", "every"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_resilient_core_matches_the_scalar_oracle(case, mutation, erasure, mseed):
+    rng = np.random.default_rng(mseed)
+    words, count, order = _damaged(case, mutation, rng)
+    frames = _erase(words, erasure, rng)
+    got = _outcome(decoder.decode_resilient, frames, count, order)
+    want = _outcome(decode_resilient_scalar, frames, count, order)
     assert got == want
 
 
@@ -112,9 +151,11 @@ def test_first_bad_sample_is_exact_where_int64_wraps():
     # long before its end; the run after the raw frame starts from garbage
     words = [0x7F7F] * 200_000 + [0x3000] + [0x7F7F] * 10
     count = 2 * 200_000 + 1 + 20
+    pairs = [(decoder.decode_channel, decode_channel_scalar), (decoder.decode_resilient, decode_resilient_scalar)]
     for order in range(1, 5):
-        with pytest.raises(CorruptStreamError) as core:
-            decoder.decode_channel(words, count, order)
-        with pytest.raises(CorruptStreamError) as oracle:
-            decode_channel_scalar(words, count, order)
-        assert str(core.value) == str(oracle.value)
+        for decode, scalar in pairs:
+            with pytest.raises(CorruptStreamError) as core:
+                decode(words, count, order)
+            with pytest.raises(CorruptStreamError) as oracle:
+                scalar(words, count, order)
+            assert str(core.value) == str(oracle.value)

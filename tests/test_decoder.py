@@ -248,18 +248,6 @@ def test_raw_samples_stay_known_while_desynchronized():
     assert known_after == [decoder.unpack_frame(w).fields[0] for w in e_words]
 
 
-def test_degraded_resync_resumes_from_a_single_raw_sample():
-    xs = walk(4, 300)
-    cfg = EncoderConfig(resync_interval_samples=64, resync_e_frames=1)
-    words = encoder.encode_channel(xs, cfg)
-    out, _ = decoder.decode_resilient(lose(words, 1), len(xs), 2, resync_originals=1)
-    # resumes decoding right after the first raw sample; values may be
-    # offset because the padded history is approximate, but decoding
-    # must proceed and stay in range
-    tail = out[-20:]
-    assert all(v is not None and -2048 <= v <= 2047 for v in tail)
-
-
 def test_higher_order_needs_matching_raw_run_to_resync():
     # small steps keep third differences narrow, so the only raw frames
     # are the forced pairs
@@ -289,9 +277,3 @@ def test_resilient_rejects_surplus_and_truncation():
     out, _ = decoder.decode_resilient([None, words[1]], 12, 2)
     assert len(out) == 6
 
-
-def test_resync_originals_validation():
-    with pytest.raises(ValueError):
-        decoder.decode_resilient([], 0, 2, resync_originals=3)
-    with pytest.raises(ValueError):
-        decoder.decode_resilient([], 0, 2, resync_originals=0)
