@@ -188,7 +188,8 @@ def evaluate_channels(
         bits = 16 * len(words)
         raw = len(samples) * orig_bits
         errors = predictor.residuals(samples, config.order)
-        hist = baselines.build_histogram(errors.tolist())
+        symbols, counts = np.unique(errors, return_counts=True)
+        hist = dict(zip(symbols.tolist(), counts.tolist()))
         ideal = baselines.ideal_huffman_bits_from_hist(hist)
         sel = {m: baselines.selective_huffman_bits_from_hist(hist, m) for m in m_values}
         rows.append(

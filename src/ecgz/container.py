@@ -25,6 +25,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     BadMagicError,
     BadVersionError,
@@ -172,21 +174,26 @@ def wire_decode(
         raise TruncationError(f"wire stream of {len(data)} bytes is not whole 3-byte units")
     if not 1 <= channel_count <= 4:
         raise ValueError("channel count must be 1..4")
-    channels: list[list[int | None]] = [[] for _ in range(channel_count)]
-    gaps: list[WireGap] = []
-    next_seq = [0] * channel_count
-    for off in range(0, len(data), 3):
-        tag = data[off]
-        ch = tag >> 6
-        if ch >= channel_count:
-            raise CorruptStreamError(f"unit at byte {off} tagged for unknown channel {ch}")
-        seq = tag & (SEQ_MOD - 1)
-        gap = (seq - next_seq[ch]) % SEQ_MOD
-        if gap:
-            gaps.append(WireGap(ch, len(channels[ch]), gap))
-            channels[ch].extend([None] * gap)
-        channels[ch].append(int.from_bytes(data[off + 1 : off + 3], "big"))
-        next_seq[ch] = (seq + 1) % SEQ_MOD
+    units = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+    chans = units[:, 0] >> 6
+    unknown = np.flatnonzero(chans >= channel_count)
+    if unknown.size:
+        raise CorruptStreamError(f"unit at byte {3 * unknown[0]} tagged for unknown channel {chans[unknown[0]]}")
+    seqs = (units[:, 0] & (SEQ_MOD - 1)).astype(np.int64)
+    words = (units[:, 1].astype(np.int64) << 8) | units[:, 2]
+    # per received unit: the units lost just before it, and its word's place in its channel's list
+    missing, slots = np.zeros((2, len(units)), dtype=np.int64)
+    channels: list[list[int | None]] = []
+    for ch in range(channel_count):
+        sel = np.flatnonzero(chans == ch)
+        gap = (np.diff(seqs[sel], prepend=-1) - 1) % SEQ_MOD
+        missing[sel] = gap
+        slots[sel] = np.arange(sel.size) + np.cumsum(gap)
+        frames = np.full(sel.size + int(gap.sum()), None, dtype=object)
+        frames[slots[sel]] = words[sel]
+        channels.append(frames.tolist())
+    lost = np.flatnonzero(missing)
+    gaps = [WireGap(*g) for g in zip(chans[lost].tolist(), (slots - missing)[lost].tolist(), missing[lost].tolist())]
     result = WireDecodeResult(channels, gaps)
     if expected_frame_counts is not None:
         if len(expected_frame_counts) != channel_count:

@@ -14,7 +14,9 @@ Header 0010 is reserved. Residuals are classified by the smallest field
 width that holds them (2, 3, 5, or 7 bits); anything wider escapes to
 Type E, which stores the raw sample instead. Pending samples queue up
 (at most 6) and whenever the queue is full the densest applicable type
-wins, in priority order D, C, A, B, E.
+wins, in priority order D, C, A, B, E. The array core (_encode_arrays,
+also run per channel by encode_multichannel) and the streaming
+ChannelEncoder share one width table, frame-size rule and packer.
 
 Type E doubles as the resynchronization frame: at a configurable sample
 interval the encoder forces consecutive E frames so a decoder that lost
@@ -23,14 +25,13 @@ frames can rebuild its predictor history from the raw samples.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import predictor
-from .predictor import SAMPLE_BITS
+from .predictor import SAMPLE_BITS, SAMPLE_MAX, SAMPLE_MIN
 
 # Worth a reminder: 4 seconds of samples, the default resync spacing,
 # is 2048 samples at the 512 Hz front-end rate.
@@ -78,6 +79,8 @@ def min_width_class(e: int) -> int:
 
 # Width class by magnitude m (e for e >= 0, -e - 1 below), capped at 64.
 _WIDTH_BY_MAGNITUDE = np.array([min_width_class(m) for m in range(65)], dtype=np.int64)
+# Width class of e at index e + 64, for -64 <= e < 64; every other residual is ESC.
+_WIDTH_BY_RESIDUAL = [min_width_class(e) for e in range(-64, 64)]
 
 
 def width_classes(errors: np.ndarray) -> np.ndarray:
@@ -93,20 +96,36 @@ class PendingSample:
     width: int
 
 
-def _enabled_tags(widths: Sequence[int]) -> set[str]:
-    tags = {"E"}
-    for ft in (FRAME_D, FRAME_C, FRAME_A, FRAME_B):
-        n = ft.field_count
-        if len(widths) >= n and all(w <= ft.field_width for w in widths[:n]):
-            tags.add(ft.tag)
-    return tags
+# (sample count, field width) of each residual type, densest first.
+_SIZE_RULE = tuple((ft.field_count, ft.field_width) for ft in PRIORITY[:-1])
+# Frame type by sample count: the count alone identifies the type.
+_TYPE_BY_COUNT = {ft.field_count: ft for ft in PRIORITY}
+_PACKING = {n: (ft.header_bits, ft.field_width, (1 << ft.field_width) - 1) for n, ft in _TYPE_BY_COUNT.items()}
+
+
+def _frame_size(widths: Sequence[int]) -> int:
+    """Sample count of the densest type the queue front fills; scalar _frame_counts."""
+    queued = len(widths)
+    for count, width in _SIZE_RULE:
+        if queued >= count and max(widths[:count]) <= width:
+            return count
+    return FRAME_E.field_count
+
+
+def _pack(count: int, values: Sequence[int]) -> int:
+    """The word of the count-sample frame of values[:count]: raw samples for E, else residuals."""
+    word, width, mask = _PACKING[count]
+    for v in values[:count]:
+        word = (word << width) | (v & mask)
+    return word
 
 
 def frame_enable(queue: Sequence[PendingSample]) -> set[str]:
     """Tags of the frame types the queue front can legally fill."""
     if not queue:
         raise ValueError("frame_enable needs at least one queued sample")
-    return _enabled_tags([p.width for p in queue])
+    widths = [p.width for p in queue]
+    return {"E"} | {_TYPE_BY_COUNT[n].tag for n, w in _SIZE_RULE if len(widths) >= n and max(widths[:n]) <= w}
 
 
 def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> FrameType:
@@ -119,11 +138,7 @@ def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> Fra
         raise ValueError("select_frame needs at least one queued sample")
     if resync_pending > 0:
         return FRAME_E
-    enabled = _enabled_tags([p.width for p in queue])
-    for ft in PRIORITY:
-        if ft.tag in enabled:
-            return ft
-    raise AssertionError("unreachable: Type E is always enabled")
+    return _TYPE_BY_COUNT[_frame_size([p.width for p in queue])]
 
 
 def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
@@ -131,16 +146,13 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
     if len(payload) != ftype.field_count:
         raise ValueError(f"Type {ftype.tag} packs {ftype.field_count} samples, got {len(payload)}")
     if ftype.carries_original:
-        return (ftype.header_bits << SAMPLE_BITS) | (payload[0].original & ((1 << SAMPLE_BITS) - 1))
+        return _pack(1, [payload[0].original])
     w = ftype.field_width
-    mask = (1 << w) - 1
     half = 1 << (w - 1)
-    word = ftype.header_bits
     for p in payload:
         if not -half <= p.error < half:
             raise AssertionError(f"residual {p.error} overflows a {w}-bit field; selection must prevent this")
-        word = (word << w) | (p.error & mask)
-    return word
+    return _pack(ftype.field_count, [p.error for p in payload])
 
 
 @dataclass(frozen=True)
@@ -161,44 +173,51 @@ class EncoderConfig:
 
 
 class ChannelEncoder:
-    """Streams one channel's samples into 16-bit frame words."""
+    """Streams one channel's samples into 16-bit frame words, a frame at a time."""
 
     def __init__(self, config: EncoderConfig | None = None) -> None:
         self.config = config or EncoderConfig()
-        self._history = predictor.zero_state(self.config.order)
-        self.queue: deque[PendingSample] = deque()
-        self.samples_since_resync = 0
+        self._diffs = predictor.zero_state(self.config.order)  # previous x, Δx, ..., Δ^(L-1) x
+        self._steps = range(len(self._diffs))
+        self._xs, self._es, self._widths = [], [], []  # the queue: samples, residuals, width classes
+        # counts down to 0 at each resync; starts at 0 (never reached again) when resync is off
+        self._until_resync = self.config.resync_interval_samples
         self.resync_pending = 0
 
     def push_sample(self, x: int) -> list[int]:
         """Accept one sample; return the frames it caused (possibly none)."""
-        err = predictor.prediction_error(x, self._history, self.config.order)
-        self._history = predictor.advance(self._history, x)
-        self.queue.append(PendingSample(x, err, min_width_class(err)))
-        emitted = []
-        if len(self.queue) == 6:
-            emitted.append(self._emit(use_pending=True))
-        self.samples_since_resync += 1
-        interval = self.config.resync_interval_samples
-        if interval and self.samples_since_resync >= interval:
+        if not SAMPLE_MIN <= x <= SAMPLE_MAX:
+            raise ValueError(f"sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
+        e, d = x, self._diffs
+        for k in self._steps:
+            e, d[k] = e - d[k], e
+        self._xs.append(x)
+        self._es.append(e)
+        self._widths.append(_WIDTH_BY_RESIDUAL[e + 64] if -64 <= e < 64 else ESC)
+        if len(self._xs) < 6:
+            emitted = []
+        elif self.resync_pending:
+            self.resync_pending -= 1
+            emitted = [self._take(1)]
+        else:
+            emitted = [self._take(_frame_size(self._widths))]
+        self._until_resync -= 1
+        if self._until_resync == 0:
             self.resync_pending = self.config.resync_e_frames
-            self.samples_since_resync = 0
+            self._until_resync = self.config.resync_interval_samples
         return emitted
 
     def flush(self) -> list[int]:
         """Drain the queue at end of input; every queued sample gets framed."""
         words = []
-        while self.queue:
-            words.append(self._emit(use_pending=False))
+        while self._xs:
+            words.append(self._take(_frame_size(self._widths)))
         return words
 
-    def _emit(self, use_pending: bool) -> int:
-        pending = self.resync_pending if use_pending else 0
-        ftype = select_frame(self.queue, pending)
-        payload = [self.queue.popleft() for _ in range(ftype.field_count)]
-        if pending and ftype.carries_original:
-            self.resync_pending -= 1
-        return pack_frame(ftype, payload)
+    def _take(self, count: int) -> int:
+        word = _pack(count, self._xs if count == 1 else self._es)
+        del self._xs[:count], self._es[:count], self._widths[:count]
+        return word
 
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> list[int]:
@@ -273,11 +292,11 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
     x = np.asarray(samples, dtype=np.int64)
     words = np.zeros(starts.size, dtype=np.int64)
-    for ft in FRAME_TYPES.values():
-        sel = sizes == ft.field_count
-        q, word, source = starts[sel], ft.header_bits, x if ft.carries_original else err
-        for j in range(ft.field_count):
-            word = (word << ft.field_width) | (source[q + j] & ((1 << ft.field_width) - 1))
+    for count, (word, width, mask) in _PACKING.items():  # _pack, one pass per type
+        sel = sizes == count
+        q, source = starts[sel], x if count == 1 else err
+        for j in range(count):
+            word = (word << width) | (source[q + j] & mask)
         words[sel] = word
     return words, np.minimum(starts + 5, n)
 
@@ -308,20 +327,18 @@ def encode_multichannel(
     is flushed, in channel order.
     """
     cfg = config or EncoderConfig()
-    encoders = [ChannelEncoder(cfg) for _ in range(cfg.channel_count)]
-    frames: list[list[int]] = [[] for _ in range(cfg.channel_count)]
-    positions: list[list[int]] = [[] for _ in range(cfg.channel_count)]
-    i = -1
-    for i, (ch, x) in enumerate(stream):
-        if not 0 <= ch < cfg.channel_count:
-            raise ValueError(f"channel id {ch} outside 0..{cfg.channel_count - 1}")
-        emitted = encoders[ch].push_sample(x)
-        frames[ch] += emitted
-        positions[ch] += [i] * len(emitted)
-    for ch, enc in enumerate(encoders):
-        tail = enc.flush()
-        frames[ch] += tail
-        positions[ch] += [i + 1] * len(tail)
+    pairs = np.array(list(stream), dtype=np.int64).reshape(-1, 2)
+    chans = pairs[:, 0]
+    bad = np.flatnonzero((chans < 0) | (chans >= cfg.channel_count))
+    if bad.size:
+        raise ValueError(f"channel id {chans[bad[0]]} outside 0..{cfg.channel_count - 1}")
+    frames, positions = [], []
+    for ch in range(cfg.channel_count):
+        index = np.flatnonzero(chans == ch)  # stream index of each of the channel's samples
+        words, pos = _encode_arrays(pairs[index, 1], cfg)
+        frames.append(words.tolist())
+        # the frame from sample qs goes out with sample qs + 5, the flush at the end of the stream
+        positions.append(np.append(index, len(pairs))[pos])
     return MultiChannelResult(frames, positions)
 
 

@@ -1,14 +1,34 @@
-"""Scalar reference decoders: the frame-by-frame loops the array core replaced.
+"""Scalar references: the object-at-a-time loops the fast paths replaced.
 
-They walk the words one frame at a time with a plain history list, so
-they state the lossless and the erasure-tolerant decode contracts
-without any of the array core's bookkeeping. Tests diff
-ecgz.decoder.decode_channel and decode_resilient against them.
+The decoders walk the words one frame at a time with a plain history
+list, so they state the lossless and the erasure-tolerant decode
+contracts without any of the array core's bookkeeping. The streaming
+encoder queues PendingSample objects and picks each frame from the set
+of enabled types; the wire receiver walks the stream one 3-byte unit at
+a time. Tests diff ecgz.decoder.decode_channel and decode_resilient,
+ecgz.encoder.ChannelEncoder and ecgz.container.wire_decode against them.
 """
 
+from collections import deque
+from typing import Sequence
+
 from ecgz import predictor
+from ecgz.container import SEQ_MOD, WireDecodeResult, WireGap, _reconcile_channel
 from ecgz.decoder import unpack_frame
+from ecgz.encoder import (
+    FRAME_A,
+    FRAME_B,
+    FRAME_C,
+    FRAME_D,
+    FRAME_E,
+    PRIORITY,
+    EncoderConfig,
+    FrameType,
+    PendingSample,
+    min_width_class,
+)
 from ecgz.errors import CorruptStreamError, TruncationError
+from ecgz.predictor import SAMPLE_BITS
 
 
 def decode_channel_scalar(frames, expected_count: int, order: int = 2) -> list[int]:
@@ -96,3 +116,114 @@ def decode_resilient_scalar(frames, expected_count: int, order: int = 2):
     if start is not None:
         spans.append((start, len(out)))
     return out, spans
+
+
+def _enabled_tags(widths: Sequence[int]) -> set[str]:
+    tags = {"E"}
+    for ft in (FRAME_D, FRAME_C, FRAME_A, FRAME_B):
+        n = ft.field_count
+        if len(widths) >= n and all(w <= ft.field_width for w in widths[:n]):
+            tags.add(ft.tag)
+    return tags
+
+
+def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> FrameType:
+    if not queue:
+        raise ValueError("select_frame needs at least one queued sample")
+    if resync_pending > 0:
+        return FRAME_E
+    enabled = _enabled_tags([p.width for p in queue])
+    for ft in PRIORITY:
+        if ft.tag in enabled:
+            return ft
+    raise AssertionError("unreachable: Type E is always enabled")
+
+
+def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
+    if len(payload) != ftype.field_count:
+        raise ValueError(f"Type {ftype.tag} packs {ftype.field_count} samples, got {len(payload)}")
+    if ftype.carries_original:
+        return (ftype.header_bits << SAMPLE_BITS) | (payload[0].original & ((1 << SAMPLE_BITS) - 1))
+    w = ftype.field_width
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    word = ftype.header_bits
+    for p in payload:
+        if not -half <= p.error < half:
+            raise AssertionError(f"residual {p.error} overflows a {w}-bit field; selection must prevent this")
+        word = (word << w) | (p.error & mask)
+    return word
+
+
+class ChannelEncoderScalar:
+    """Streams one channel's samples into 16-bit frame words."""
+
+    def __init__(self, config: EncoderConfig | None = None) -> None:
+        self.config = config or EncoderConfig()
+        self._history = predictor.zero_state(self.config.order)
+        self.queue: deque[PendingSample] = deque()
+        self.samples_since_resync = 0
+        self.resync_pending = 0
+
+    def push_sample(self, x: int) -> list[int]:
+        """Accept one sample; return the frames it caused (possibly none)."""
+        err = predictor.prediction_error(x, self._history, self.config.order)
+        self._history = predictor.advance(self._history, x)
+        self.queue.append(PendingSample(x, err, min_width_class(err)))
+        emitted = []
+        if len(self.queue) == 6:
+            emitted.append(self._emit(use_pending=True))
+        self.samples_since_resync += 1
+        interval = self.config.resync_interval_samples
+        if interval and self.samples_since_resync >= interval:
+            self.resync_pending = self.config.resync_e_frames
+            self.samples_since_resync = 0
+        return emitted
+
+    def flush(self) -> list[int]:
+        """Drain the queue at end of input; every queued sample gets framed."""
+        words = []
+        while self.queue:
+            words.append(self._emit(use_pending=False))
+        return words
+
+    def _emit(self, use_pending: bool) -> int:
+        pending = self.resync_pending if use_pending else 0
+        ftype = select_frame(self.queue, pending)
+        payload = [self.queue.popleft() for _ in range(ftype.field_count)]
+        if pending and ftype.carries_original:
+            self.resync_pending -= 1
+        return pack_frame(ftype, payload)
+
+
+def wire_decode_scalar(
+    data: bytes,
+    channel_count: int,
+    expected_frame_counts: Sequence[int] | None = None,
+) -> WireDecodeResult:
+    if len(data) % 3:
+        raise TruncationError(f"wire stream of {len(data)} bytes is not whole 3-byte units")
+    if not 1 <= channel_count <= 4:
+        raise ValueError("channel count must be 1..4")
+    channels: list[list[int | None]] = [[] for _ in range(channel_count)]
+    gaps: list[WireGap] = []
+    next_seq = [0] * channel_count
+    for off in range(0, len(data), 3):
+        tag = data[off]
+        ch = tag >> 6
+        if ch >= channel_count:
+            raise CorruptStreamError(f"unit at byte {off} tagged for unknown channel {ch}")
+        seq = tag & (SEQ_MOD - 1)
+        gap = (seq - next_seq[ch]) % SEQ_MOD
+        if gap:
+            gaps.append(WireGap(ch, len(channels[ch]), gap))
+            channels[ch].extend([None] * gap)
+        channels[ch].append(int.from_bytes(data[off + 1 : off + 3], "big"))
+        next_seq[ch] = (seq + 1) % SEQ_MOD
+    result = WireDecodeResult(channels, gaps)
+    if expected_frame_counts is not None:
+        if len(expected_frame_counts) != channel_count:
+            raise ValueError("one expected frame count per channel required")
+        for ch in range(channel_count):
+            _reconcile_channel(result, ch, expected_frame_counts[ch])
+    return result

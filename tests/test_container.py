@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,10 @@ from ecgz.errors import (
     ContainerError,
     CorruptStreamError,
     CountMismatchError,
+    EcgzError,
     TruncationError,
 )
+from oracle import wire_decode_scalar
 
 
 def meta1(count=6, frames=1):
@@ -231,6 +234,51 @@ def test_wire_decode_validates_input():
         container.wire_decode(bytes([0xC0, 0, 0]), 2)  # channel 3 of 2
     with pytest.raises(CountMismatchError):
         container.wire_decode(container.wire_encode([(0, 1), (0, 2)]), 1, expected_frame_counts=[1])
+
+
+def _wire_outcome(decode, data, nch, expected):
+    try:
+        result = decode(data, nch, expected)
+    except EcgzError as exc:
+        return type(exc), str(exc)
+    assert all(w is None or type(w) is int for frames in result.channels for w in frames)
+    return result.channels, result.gaps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 400),
+    st.sampled_from(["none", "random", "burst", "tail", "bad_tag", "truncate"]),
+    st.sampled_from(["none", "true", "off_by_one"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_wire_decode_matches_the_scalar_receiver(nch, n, damage, counts, seed):
+    rng = np.random.default_rng(seed)
+    chans = rng.integers(0, nch, size=n)
+    data = container.wire_encode(list(zip(chans.tolist(), rng.integers(0, 1 << 16, size=n).tolist())))
+    units = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3).copy()
+    keep = np.ones(n, dtype=bool)
+    if damage == "random":
+        keep = rng.random(n) >= rng.uniform(0, 0.3)
+    elif damage == "burst" and n:  # 64 or more units of one channel: the sequence number wraps
+        mine = np.flatnonzero(chans == chans[int(rng.integers(n))])
+        start = int(rng.integers(mine.size))
+        keep[mine[start : start + int(rng.integers(64, 140))]] = False
+    elif damage == "tail":
+        keep[n - int(rng.integers(0, 100)) :] = False
+    elif damage == "bad_tag" and n:
+        units[rng.integers(0, n, size=rng.integers(1, 3)), 0] = rng.integers(0, 256)
+    data = units[keep].tobytes()
+    if damage == "truncate":
+        data = data[: int(rng.integers(0, len(data) + 1))]
+    expected = None
+    if counts != "none":
+        expected = np.bincount(chans, minlength=nch).tolist()
+        if counts == "off_by_one":
+            expected[int(rng.integers(nch))] += int(rng.choice([-1, 1]))
+    got = _wire_outcome(container.wire_decode, data, nch, expected)
+    assert got == _wire_outcome(wire_decode_scalar, data, nch, expected)
 
 
 def test_file_and_memory_sizes_agree():

@@ -1,9 +1,12 @@
-"""The array encode and decode cores against their scalar references.
+"""The encode and decode cores against their scalar references.
 
-The encoder core must emit the streaming ChannelEncoder's words at the
-same positions; both decoders must return their scalar oracle's samples
-(and unknown spans) or raise the same EcgzError class, on valid and on
-damaged streams, the erasure-tolerant one also with frames erased.
+The streaming ChannelEncoder must return its scalar oracle's words from
+every push; the encoder core must emit the streaming encoder's words at
+the same positions, and encode_multichannel the scalar encoders' words
+in their emission order; both decoders must return their scalar
+oracle's samples (and unknown spans) or raise the same EcgzError class,
+on valid and on damaged streams, the erasure-tolerant one also with
+frames erased.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from ecgz import decoder, encoder
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
-from oracle import decode_channel_scalar, decode_resilient_scalar
+from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
 
@@ -61,6 +64,49 @@ def test_encoder_core_matches_the_streaming_encoder(case):
     words += tail
     positions += [n] * len(tail)
     assert encoder.encode_channel_indexed(xs, _config(order, interval, e_frames)) == (words, positions)
+
+
+def _push(enc, x):
+    try:
+        return enc.push_sample(x)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases, st.integers(0, 2**32 - 1))
+def test_streaming_encoder_matches_the_scalar_oracle(case, mseed):
+    kind, seed, n, order, interval, e_frames = case
+    rng = np.random.default_rng(mseed)
+    xs = _signal(kind, seed, n)
+    for _ in range(int(rng.integers(0, 3))):  # out-of-range samples must raise and change nothing
+        xs.insert(int(rng.integers(0, n + 1)), int(rng.choice([-2049, 2048, -(2**40), 2**40])))
+    cut = int(rng.integers(0, len(xs) + 1))  # a flush mid-stream keeps the predictor and resync state
+    cfg = _config(order, interval, e_frames)
+    enc, ref = encoder.ChannelEncoder(cfg), ChannelEncoderScalar(cfg)
+    for part in (xs[:cut], xs[cut:]):
+        for x in part:
+            assert _push(enc, x) == _push(ref, x)
+        assert enc.flush() == ref.flush()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases, st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_multichannel_encoder_matches_per_channel_scalar_encoders(case, nch, mseed):
+    kind, seed, n, order, interval, e_frames = case
+    rng = np.random.default_rng(mseed)
+    # unequal channel lengths, in a random (not round-robin) interleaving
+    leads = [_signal(kind, seed + ch, int(rng.integers(0, n + 1))) for ch in range(nch)]
+    arrivals = rng.permutation(np.repeat(np.arange(nch), [len(lead) for lead in leads])).tolist()
+    samples = [iter(lead) for lead in leads]
+    stream = [(ch, next(samples[ch])) for ch in arrivals]
+    cfg = EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=order, resync_e_frames=e_frames)
+    refs = [ChannelEncoderScalar(cfg) for _ in range(nch)]
+    log = [(ch, word) for ch, x in stream for word in refs[ch].push_sample(x)]
+    log += [(ch, word) for ch, ref in enumerate(refs) for word in ref.flush()]
+    got = encoder.encode_multichannel(iter(stream), cfg)
+    assert got.channel_frames == [[w for c, w in log if c == ch] for ch in range(nch)]
+    assert got.emission_log == log
 
 
 def _outcome(decode, words, count, order):
