@@ -5,6 +5,7 @@ frames whose type adapts to the local signal activity; periodic raw
 sample frames bound how long a receiver stays dark after packet loss.
 """
 
+from . import container, decoder, encoder
 from .container import RecordMeta, read_ecgz, write_ecgz
 from .decoder import decode_channel, decode_resilient
 from .encoder import ChannelEncoder, EncoderConfig, encode_channel, encode_channels, encode_multichannel
@@ -30,7 +31,7 @@ __all__ = [
 def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None) -> bytes:
     """Encode equal-length channel arrays straight into container bytes."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
-    result = encode_channels(channels, cfg)
+    words = [w for w, _ in encoder._encode_equal(channels, cfg)]
     meta = RecordMeta(
         channel_count=len(channels),
         sample_rate_hz=sample_rate_hz,
@@ -38,14 +39,14 @@ def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None)
         predictor_order=cfg.order,
         sample_counts=tuple(len(c) for c in channels),
     )
-    return write_ecgz(meta, result.channel_frames)
+    return write_ecgz(meta, words)
 
 
 def decompress(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
     """Inverse of compress: container bytes back to (meta, channels)."""
-    meta, channel_frames = read_ecgz(data)
+    meta, channel_words = container._read_words(data)
     channels = [
-        decode_channel(frames, count, meta.predictor_order)
-        for frames, count in zip(channel_frames, meta.sample_counts)
+        decoder._decode_words(words, count, meta.predictor_order).tolist()
+        for words, count in zip(channel_words, meta.sample_counts)
     ]
     return meta, channels

@@ -167,7 +167,7 @@ def evaluate_channels(
     m_values: Sequence[int] = DEFAULT_M_VALUES,
 ) -> list[ChannelRow]:
     """Score one record's channels; also cross-checks the serialized size."""
-    result = encoder.encode_channels(channels, config)
+    channel_words = [w for w, _ in encoder._encode_equal(channels, config)]
     meta = container.RecordMeta(
         channel_count=len(channels),
         sample_rate_hz=0,
@@ -175,17 +175,17 @@ def evaluate_channels(
         predictor_order=config.order,
         sample_counts=tuple(len(c) for c in channels),
     )
-    blob = container.write_ecgz(meta, result.channel_frames)
+    blob = container.write_ecgz(meta, channel_words)
     header_len = 13 + 8 * len(channels)
     payload_bits = 8 * (len(blob) - header_len)
-    total_frames = sum(len(f) for f in result.channel_frames)
+    total_frames = sum(w.size for w in channel_words)
     if payload_bits != 16 * total_frames:
         raise AssertionError("serialized payload disagrees with 16 bits per frame")
 
     rows = []
     for ch, samples in enumerate(channels):
-        words = result.channel_frames[ch]
-        bits = 16 * len(words)
+        words = channel_words[ch]
+        bits = 16 * words.size
         raw = len(samples) * orig_bits
         errors = predictor.residuals(samples, config.order)
         symbols, counts = np.unique(errors, return_counts=True)
@@ -197,7 +197,7 @@ def evaluate_channels(
                 record=record_name,
                 channel=ch,
                 n_samples=len(samples),
-                frame_count=len(words),
+                frame_count=words.size,
                 compressed_bits=bits,
                 bcr=raw / bits,
                 ideal_bits=ideal,
@@ -428,7 +428,7 @@ class LossHarness:
         channels: Sequence[Sequence[int]],
         config: encoder.EncoderConfig | None = None,
     ) -> None:
-        self.channels = [[int(v) for v in ch] for ch in channels]
+        self.channels = [np.asarray(ch, dtype=np.int64) for ch in channels]
         self.config = config or encoder.EncoderConfig(channel_count=len(channels) or 1)
         result = encoder.encode_channels(self.channels, self.config)
         self.channel_frames = result.channel_frames
@@ -436,9 +436,7 @@ class LossHarness:
         self.wire = container.wire_encode(log)
         self.n_units = len(log)
         self.expected_frames = [len(f) for f in result.channel_frames]
-        self._counts = [
-            [decoder.frame_sample_count(w) for w in frames] for frames in result.channel_frames
-        ]
+        self._counts = [decoder._sample_counts(np.asarray(f, dtype=np.int64)) for f in result.channel_frames]
 
     def run(
         self,
@@ -477,15 +475,15 @@ class LossHarness:
             received = decoded.channels[ch]
             if len(received) != self.expected_frames[ch]:
                 raise AssertionError("wire reconciliation lost track of the frame count")
-            out, _ = decoder.decode_resilient(received, len(samples), self.config.order)
-            corrupted = _audit_channel(samples, self._counts[ch], received, out)
+            out, known, lost = decoder._decode_erasures(received, len(samples), self.config.order)
+            corrupted = _audit_channel(samples, self._counts[ch], lost, out, known)
             if corrupted is None:
                 exact = False
-                corrupted = [True] * len(samples)
-            spans = _bool_runs(corrupted)
+                corrupted = np.ones(len(samples), dtype=bool)
+            spans = decoder._runs(corrupted)
             all_spans.append(spans)
             recoveries.append([stop for _, stop in spans])
-            corrupted_total += sum(stop - start for start, stop in spans)
+            corrupted_total += int(np.count_nonzero(corrupted))
         return LossReport(
             seed=seed,
             pattern=pattern,
@@ -537,49 +535,23 @@ def _drop_units(wire: bytes, drops: set[int]) -> bytes:
 
 
 def _audit_channel(
-    truth: list[int],
-    counts: Sequence[int],
-    received: Sequence[int | None],
-    resilient_out: list[int | None],
-) -> list[bool] | None:
+    truth: np.ndarray, counts: np.ndarray, lost: np.ndarray, out: np.ndarray, known: np.ndarray
+) -> np.ndarray | None:
     """Mark each true sample position corrupted or verified-exact.
 
-    Returns None if any decoded value disagrees with the truth, which
-    would mean the decoder claimed knowledge it did not have.
+    counts and lost hold each true frame's sample count and erasure;
+    out and known are the resilient decoder's samples of the received
+    frames. Returns None if any known value disagrees with the truth,
+    which would mean the decoder claimed knowledge it did not have.
     """
-    corrupted = [False] * len(truth)
-    pos = 0
-    ptr = 0
-    for frame_idx, count in enumerate(counts):
-        if received[frame_idx] is None:
-            corrupted[pos : pos + count] = [True] * count
-        else:
-            seg = resilient_out[ptr : ptr + count]
-            ptr += count
-            if seg != truth[pos : pos + count]:
-                for k, v in enumerate(seg, start=pos):
-                    if v is None:
-                        corrupted[k] = True
-                    elif v != truth[k]:
-                        return None
-        pos += count
-    if pos != len(truth) or ptr != len(resilient_out):
+    received = np.repeat(~lost, counts)  # the true positions the received frames carry
+    if received.size != truth.size or np.count_nonzero(received) != out.size:
         raise AssertionError("frame accounting disagrees with the sample count")
+    if np.any(out[known] != truth[received][known]):
+        return None
+    corrupted = ~received
+    corrupted[received] = ~known
     return corrupted
-
-
-def _bool_runs(flags: Sequence[bool]) -> list[tuple[int, int]]:
-    spans = []
-    start = None
-    for i, f in enumerate(flags):
-        if f and start is None:
-            start = i
-        elif not f and start is not None:
-            spans.append((start, i))
-            start = None
-    if start is not None:
-        spans.append((start, len(flags)))
-    return spans
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ and CSV reports.
 from __future__ import annotations
 
 import argparse
+import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import bench, container, decoder, encoder, ingest
 from .errors import EcgzError
+from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
 DOWNLOAD_HELP = """\
 No records found. The benchmark records are two-lead Holter archives
@@ -115,10 +118,9 @@ def _detect_format(path: Path, flag) -> str:
 
 
 def _load_input(path: Path, fmt: str, channels_flag, rate: float):
-    """Returns (channels as lists or int64 arrays, sample_rate)."""
+    """Returns (channels as int64 arrays, sample_rate)."""
     if fmt == "csv":
-        chans = ingest.read_csv(path.read_text(), channels_flag)
-        return chans, rate
+        return ingest._read_csv_arrays(path.read_text(), channels_flag), rate
     record, arrays = ingest.load_record(path)
     if channels_flag is not None and channels_flag != len(arrays):
         raise ValueError(f"record has {len(arrays)} channels, --channels says {channels_flag}")
@@ -137,7 +139,7 @@ def cmd_compress(args) -> int:
         channel_count=len(channels),
         order=args.order,
     )
-    result = encoder.encode_channels(channels, cfg)
+    words = [w for w, _ in encoder._encode_equal(channels, cfg)]
     meta = container.RecordMeta(
         channel_count=len(channels),
         sample_rate_hz=int(round(rate)),
@@ -145,27 +147,45 @@ def cmd_compress(args) -> int:
         predictor_order=cfg.order,
         sample_counts=tuple(len(c) for c in channels),
     )
-    args.output.write_bytes(container.write_ecgz(meta, result.channel_frames))
+    args.output.write_bytes(container.write_ecgz(meta, words))
     n = sum(len(c) for c in channels)
-    frames = sum(len(f) for f in result.channel_frames)
+    frames = sum(w.size for w in words)
     ratio = bench.bcr(n, args.orig_bits, 16 * frames) if frames else float("nan")
     print(f"{args.input}: {n} samples in {len(channels)} channel(s), {frames} frames, bcr {ratio:.3f}")
     return 0
 
 
+@functools.cache
+def _csv_cells() -> np.ndarray:
+    """Each sample value's CSV text (index value - SAMPLE_MIN) ending in "," (row 0) or "\n" (row 1).
+
+    The cells are NUL-padded to 8 bytes; no cell holds a NUL byte.
+    """
+    values = range(SAMPLE_MIN, SAMPLE_MAX + 1)
+    cells = np.array([[f"{v}{end}".encode() for v in values] for end in ",\n"], dtype="S8")
+    cells.flags.writeable = False  # one table, shared by every call
+    return cells
+
+
+def _csv_bytes(columns: list[np.ndarray]) -> bytes:
+    """The CSV rows of equal-length sample columns: what "%d,%d\n" formatting gives."""
+    cells = _csv_cells()
+    last = len(columns) - 1
+    table = np.stack([cells[int(ch == last)][c - SAMPLE_MIN] for ch, c in enumerate(columns)], axis=1)
+    raw = table.view(np.uint8)
+    return raw[raw != 0].tobytes()
+
+
 def cmd_decompress(args) -> int:
-    meta, channel_frames = container.read_ecgz(args.input.read_bytes())
+    meta, channel_words = container._read_words(args.input.read_bytes())
     channels = [
-        decoder.decode_channel(frames, count, meta.predictor_order)
-        for frames, count in zip(channel_frames, meta.sample_counts)
+        decoder._decode_words(words, count, meta.predictor_order)
+        for words, count in zip(channel_words, meta.sample_counts)
     ]
     rows = min(meta.sample_counts, default=0)  # a row per time step every channel has
-    table = np.column_stack([c[:rows] for c in channels]) if rows else None
-    fmt = ",".join(["%d"] * len(channels)) + "\n"
-    with open(args.output, "w") as fh:
+    with open(args.output, "wb") as fh:
         for i in range(0, rows, CSV_CHUNK_ROWS):
-            block = table[i : i + CSV_CHUNK_ROWS]
-            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_csv_bytes([c[i : min(i + CSV_CHUNK_ROWS, rows)] for c in channels]))
     print(f"{args.input}: restored {sum(meta.sample_counts)} samples to {args.output}")
     return 0
 
@@ -173,7 +193,7 @@ def cmd_decompress(args) -> int:
 def cmd_verify(args) -> int:
     fmt = _detect_format(args.original, args.format)
     channels, _ = _load_input(args.original, fmt, args.channels, 0.0)
-    meta, channel_frames = container.read_ecgz(args.compressed.read_bytes())
+    meta, channel_words = container._read_words(args.compressed.read_bytes())
     if len(channels) != meta.channel_count:
         print(f"channel count differs: source {len(channels)}, container {meta.channel_count}")
         return 1
@@ -181,12 +201,11 @@ def cmd_verify(args) -> int:
         if meta.sample_counts[ch] != len(samples):
             print(f"channel {ch}: length differs, source {len(samples)}, container {meta.sample_counts[ch]}")
             return 1
-        decoded = np.asarray(decoder.decode_channel(channel_frames[ch], meta.sample_counts[ch], meta.predictor_order))
-        source = np.asarray(samples, dtype=np.int64)
-        differ = np.flatnonzero(source != decoded)
+        decoded = decoder._decode_words(channel_words[ch], meta.sample_counts[ch], meta.predictor_order)
+        differ = np.flatnonzero(samples != decoded)
         if differ.size:
             i = int(differ[0])
-            print(f"channel {ch}: mismatch at sample index {i} ({source[i]} != {decoded[i]})")
+            print(f"channel {ch}: mismatch at sample index {i} ({samples[i]} != {decoded[i]})")
             return 1
     print(f"{args.compressed}: matches {args.original} exactly")
     return 0
@@ -251,14 +270,13 @@ def cmd_predict_eval(args) -> int:
 def cmd_simulate_loss(args) -> int:
     if args.record == "synthetic":
         n = int(round(args.duration * args.rate))
-        channels = [bench.synthetic_ecg(n, args.rate, seed=args.seed).tolist()]
+        channels = [bench.synthetic_ecg(n, args.rate, seed=args.seed)]
         rate = args.rate
     elif args.record.endswith(".csv"):
-        channels = ingest.read_csv(Path(args.record).read_text())
+        channels = ingest._read_csv_arrays(Path(args.record).read_text())
         rate = args.rate
     else:
-        _, arrays = ingest.load_record(args.record)
-        channels = [a.tolist() for a in arrays]
+        _, channels = ingest.load_record(args.record)
         rate = ingest.parse_wfdb_header(Path(args.record).with_suffix(".hea").read_text()).sampling_frequency
     interval = _resync_samples(args, rate)
     cfg = encoder.EncoderConfig(
@@ -290,9 +308,7 @@ def cmd_simulate_loss(args) -> int:
         print(f"worst span over {args.runs} runs: {worst}" + (f" (bound {bound})" if bound else ""))
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            import csv as _csv
-
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["seed", "dropped_units", "corrupted", "total", "max_span", "exact"])
             for r in rows:
                 w.writerow(

@@ -22,7 +22,9 @@ from the declared frame counts.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -65,9 +67,30 @@ class RecordMeta:
             raise ValueError("sample counts must fit 32 bits")
 
 
+def _is_uint(value, top: int = 0xFFFF) -> bool:
+    """value is an int (Python or numpy) in 0..top."""
+    return isinstance(value, (int, np.integer)) and 0 <= value <= top
+
+
+def _word_array(frames: Sequence[int]) -> np.ndarray:
+    """frames as an integer array; ValueError for the first word that is not a 16-bit value."""
+    words = np.asarray(frames)
+    if words.dtype.kind in "biu":
+        bad = np.flatnonzero((words < 0) | (words > 0xFFFF))
+        if bad.size:
+            raise ValueError(f"frame word {int(words[bad[0]])} is not a 16-bit value")
+        return words
+    for word in frames:  # floats, or ints too wide for numpy
+        if not _is_uint(word):
+            raise ValueError(f"frame word {word!r} is not a 16-bit value")
+    return words
+
+
 def write_ecgz(meta: RecordMeta, channel_frames: Sequence[Sequence[int]]) -> bytes:
+    """Container bytes; each channel's frames may be a list or an integer array."""
     if len(channel_frames) != meta.channel_count:
         raise ValueError(f"meta declares {meta.channel_count} channels, got {len(channel_frames)}")
+    words = [_word_array(frames) for frames in channel_frames]
     head = bytearray(MAGIC)
     head += _HEAD.pack(
         VERSION,
@@ -76,15 +99,18 @@ def write_ecgz(meta: RecordMeta, channel_frames: Sequence[Sequence[int]]) -> byt
         meta.resync_interval_samples,
         meta.predictor_order,
     )
-    for count, frames in zip(meta.sample_counts, channel_frames):
-        head += struct.pack(">II", count, len(frames))
-    parts = [bytes(head)]
-    for frames in channel_frames:
-        parts.append(struct.pack(f">{len(frames)}H", *frames))
-    return b"".join(parts)
+    for count, w in zip(meta.sample_counts, words):
+        head += struct.pack(">II", count, w.size)
+    return b"".join([bytes(head), *(w.astype(">u2").tobytes() for w in words)])
 
 
 def read_ecgz(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
+    meta, channels = _read_words(data)
+    return meta, [w.tolist() for w in channels]
+
+
+def _read_words(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
+    """read_ecgz with each channel's frames as a read-only big-endian uint16 view of data."""
     if len(data) < 4 + _HEAD.size:
         raise TruncationError(f"file of {len(data)} bytes is shorter than the fixed header")
     if data[:4] != MAGIC:
@@ -99,13 +125,9 @@ def read_ecgz(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
     off = 4 + _HEAD.size
     if len(data) < off + 8 * channel_count:
         raise TruncationError("file ends inside the per-channel count table")
-    sample_counts = []
-    frame_counts = []
-    for _ in range(channel_count):
-        ns, nf = struct.unpack_from(">II", data, off)
-        sample_counts.append(ns)
-        frame_counts.append(nf)
-        off += 8
+    counts = struct.unpack_from(f">{2 * channel_count}I", data, off)
+    sample_counts, frame_counts = counts[0::2], counts[1::2]
+    off += 8 * channel_count
     payload_len = len(data) - off
     need = 2 * sum(frame_counts)
     if payload_len < need:
@@ -114,25 +136,38 @@ def read_ecgz(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
         raise CountMismatchError(f"{payload_len - need} payload bytes beyond the declared frames")
     channels = []
     for nf in frame_counts:
-        channels.append(list(struct.unpack_from(f">{nf}H", data, off)))
+        channels.append(np.frombuffer(data, ">u2", nf, off))
         off += 2 * nf
-    meta = RecordMeta(channel_count, rate, resync, order, tuple(sample_counts))
+    meta = RecordMeta(channel_count, rate, resync, order, sample_counts)
     return meta, channels
 
 
 def wire_encode(emission_log: Sequence[tuple[int, int]]) -> bytes:
     """Serialize (channel, frame) pairs into 3-byte tagged wire units."""
-    seq = [0, 0, 0, 0]
-    out = bytearray()
-    for ch, word in emission_log:
-        if not 0 <= ch <= 3:
+    try:  # exact ints only: a float raises TypeError, an int beyond int64 OverflowError
+        flat = np.frombuffer(array("q", chain.from_iterable(emission_log)), dtype=np.int64)
+    except (TypeError, OverflowError):
+        flat = None
+    if flat is not None and flat.size != 2 * len(emission_log):
+        raise ValueError("emission log entries must be (channel, word) pairs")
+    if flat is None:
+        first = next(i for i, (ch, w) in enumerate(emission_log) if not (_is_uint(ch, 3) and _is_uint(w)))
+    else:
+        chans, words = flat[0::2], flat[1::2]
+        bad = np.flatnonzero((chans < 0) | (chans > 3) | (words < 0) | (words > 0xFFFF))
+        first = int(bad[0]) if bad.size else None
+    if first is not None:  # the channel is checked before the word
+        ch, word = emission_log[first]
+        if not _is_uint(ch, 3):
             raise ValueError(f"channel id {ch} outside 0..3")
-        if not 0 <= word <= 0xFFFF:
-            raise ValueError(f"frame word {word!r} is not a 16-bit value")
-        out.append((ch << 6) | (seq[ch] % SEQ_MOD))
-        out += word.to_bytes(2, "big")
-        seq[ch] += 1
-    return bytes(out)
+        raise ValueError(f"frame word {word!r} is not a 16-bit value")
+    units = np.empty((chans.size, 3), dtype=np.uint8)
+    for ch in range(4):  # each channel numbers its own units
+        sel = np.flatnonzero(chans == ch)
+        units[sel, 0] = (ch << 6) | (np.arange(sel.size) % SEQ_MOD)
+    units[:, 1] = words >> 8
+    units[:, 2] = words & 0xFF
+    return units.tobytes()
 
 
 @dataclass

@@ -164,6 +164,11 @@ def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -
     anything short, long, or malformed raises. Of several defects the
     first in stream order is reported, as a frame-by-frame decoder would.
     """
+    return _decode_words(frames, expected_count, order).tolist()
+
+
+def _decode_words(frames: Sequence[int], expected_count: int, order: int) -> np.ndarray:
+    """decode_channel returning an int64 array; frames may be a list or an integer array."""
     words = np.asarray(frames, dtype=np.int64)
     counts = _sample_counts(words)
     bad_word, surplus = _first(counts == 0), _first(np.cumsum(counts) > expected_count)
@@ -175,7 +180,7 @@ def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -
         raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
     if out.size != expected_count:
         raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
-    return out.tolist()
+    return out
 
 
 def decode_resilient(
@@ -199,6 +204,16 @@ def decode_resilient(
     carries more than expected_count samples raises; a short one raises
     only when no frame was erased.
     """
+    out, known, _ = _decode_erasures(frames, expected_count, order)
+    samples = out.astype(object)
+    samples[~known] = None
+    return samples.tolist(), _runs(~known)
+
+
+def _decode_erasures(
+    frames: Iterable[int | None], expected_count: int, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """decode_resilient as arrays: (samples, known) over the received frames' samples, and lost per frame."""
     received = np.array(list(frames), dtype=object)
     lost = np.equal(received, None)
     words = np.where(lost, 0, received).astype(np.int64)
@@ -211,8 +226,10 @@ def decode_resilient(
         raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
     if out.size < expected_count and not lost.any():
         raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
-    samples = out.astype(object)
-    samples[~known] = None
-    edges = np.diff(np.concatenate(([False], ~known, [False])).view(np.int8))
-    spans = zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist())
-    return samples.tolist(), list(spans)
+    return out, known, lost
+
+
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """The maximal [start, stop) runs of True in a bool array."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))

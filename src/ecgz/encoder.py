@@ -351,14 +351,19 @@ def encode_channels(
     (ch0[0], ch1[0], ..., ch0[1], ...) frame for frame.
     """
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
+    nch = len(channels)
+    encoded = _encode_equal(channels, cfg)
+    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
+    return MultiChannelResult(
+        [w.tolist() for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)]
+    )
+
+
+def _encode_equal(channels: Sequence[Sequence[int]], cfg: EncoderConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """encode_channels as each channel's (words, emission positions) int64 arrays."""
     if len(channels) != cfg.channel_count:
         raise ValueError(f"got {len(channels)} channels but config says {cfg.channel_count}")
     lengths = {len(c) for c in channels}
     if len(lengths) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
-    nch = len(channels)
-    encoded = [_encode_arrays(samples, cfg) for samples in channels]
-    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
-    return MultiChannelResult(
-        [w.tolist() for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)]
-    )
+    return [_encode_arrays(samples, cfg) for samples in channels]

@@ -181,8 +181,77 @@ def load_record(path: str | Path) -> tuple[WfdbRecord, list[np.ndarray]]:
     return record, normalize_to_12bit(raw, record)
 
 
+CSV_BLOCK_ROWS = 8192  # rows per block of the strict parser, which bounds its temporaries
+_COMMA, _NEWLINE, _MINUS, _ZERO, _NINE = b",\n-09"
+
+
 def read_csv(text: str, channel_count: int | None = None) -> list[list[int]]:
     """Parse integer CSV, one row per time step, one column per channel."""
+    return [c.tolist() for c in _read_csv_arrays(text, channel_count)]
+
+
+def _read_csv_arrays(text: str, channel_count: int | None = None) -> list[np.ndarray]:
+    """read_csv with each channel as an int64 array."""
+    table = _parse_strict_csv(text, channel_count)
+    if table is not None:
+        return list(table)
+    return [np.array(c, dtype=np.int64) for c in _read_csv_cells(text, channel_count)]
+
+
+def _parse_strict_csv(text: str, channel_count: int | None) -> np.ndarray | None:
+    """(channels, rows) int64 table of well-formed CSV, else None.
+
+    Well formed: every cell matches -?[0-9]{1,4} and lies in the sample
+    range, every line (the last too) ends in a bare newline, and every
+    row has the same number of cells, channel_count when given. Anything
+    else, including every input that read_csv rejects, returns None.
+    """
+    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    if not data.size or data[-1] != _NEWLINE:
+        return None
+    ends = np.flatnonzero(data == _NEWLINE)
+    width = int(np.count_nonzero(data[: ends[0]] == _COMMA)) + 1
+    if channel_count is not None and channel_count != width:
+        return None
+    table = np.empty((width, ends.size), dtype=np.int64)
+    start = 0
+    for r0 in range(0, ends.size, CSV_BLOCK_ROWS):
+        r1 = min(r0 + CSV_BLOCK_ROWS, ends.size)
+        stop = int(ends[r1 - 1]) + 1
+        values = _parse_csv_block(data[start:stop], r1 - r0, width)
+        if values is None:
+            return None
+        table[:, r0:r1] = values.reshape(r1 - r0, width).T
+        start = stop
+    return table
+
+
+def _parse_csv_block(block: np.ndarray, rows: int, width: int) -> np.ndarray | None:
+    """Row-major int32 cells of rows whole lines of bytes, width cells each, else None."""
+    seps = np.flatnonzero((block == _COMMA) | (block == _NEWLINE))  # the byte after each cell
+    if seps.size != rows * width or not (block[seps[width - 1 :: width]] == _NEWLINE).all():
+        return None  # the rows newlines end the rows, so every other separator is a comma
+    first = np.concatenate(([0], seps[:-1] + 1))
+    negative = block[first] == _MINUS
+    digits = seps - first - negative
+    if digits.min() < 1 or digits.max() > 4:
+        return None
+    # every other byte must be a digit: each cell's sign was counted apart
+    if np.count_nonzero((block >= _ZERO) & (block <= _NINE)) != digits.sum():
+        return None
+    # digit values (wrapped for other bytes, which the masks drop) after 3 bytes of padding
+    digit = np.concatenate((np.zeros(3, dtype=np.uint8), block - np.uint8(_ZERO)))
+    values = digit[seps + 2].astype(np.int32)
+    for k, scale in enumerate((10, 100, 1000), start=1):  # the k-th digit from the right
+        values += (digit[seps + 2 - k] * (digits > k)).astype(np.int32) * scale
+    values = np.where(negative, -values, values)
+    if values.min() < SAMPLE_MIN or values.max() > SAMPLE_MAX:
+        return None
+    return values
+
+
+def _read_csv_cells(text: str, channel_count: int | None) -> list[list[int]]:
+    """The lenient cell-by-cell parser: every form csv.reader accepts, and every error."""
     channels: list[list[int]] | None = None
     for rowno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row:

@@ -20,8 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptStreamError
-
 SAMPLE_BITS = 12
 SAMPLE_MIN = -(1 << (SAMPLE_BITS - 1))
 SAMPLE_MAX = (1 << (SAMPLE_BITS - 1)) - 1
@@ -49,43 +47,12 @@ def zero_state(order: int) -> list[int]:
     return [0] * len(coefficients(order))
 
 
-def check_sample(x: int) -> int:
-    if not SAMPLE_MIN <= x <= SAMPLE_MAX:
-        raise ValueError(f"sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
-    return x
-
-
-def predict(history: Sequence[int], order: int) -> int:
-    """Predicted next sample from history (most recent first)."""
-    coef = coefficients(order)
-    if len(history) != len(coef):
-        raise ValueError(f"order-{order} predictor needs {len(coef)} history samples, got {len(history)}")
-    return sum(a * h for a, h in zip(coef, history))
-
-
-def prediction_error(x: int, history: Sequence[int], order: int) -> int:
-    check_sample(x)
-    return x - predict(history, order)
-
-
-def advance(history: Sequence[int], x: int) -> list[int]:
-    """Shift x into the history, dropping the oldest entry."""
-    return [x, *history[:-1]]
-
-
-def reconstruct(error: int, history: Sequence[int], order: int) -> int:
-    """Inverse of prediction_error; rejects results outside the sample range."""
-    x = predict(history, order) + error
-    if not SAMPLE_MIN <= x <= SAMPLE_MAX:
-        raise CorruptStreamError(f"reconstructed sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
-    return x
-
-
 def residuals(samples: Sequence[int], order: int) -> np.ndarray:
     """Residual sequence for a whole channel, zero-initialized history.
 
-    Vectorized equivalent of running prediction_error / advance over the
-    sequence; returns int64 so no intermediate can overflow.
+    Each residual is the sample minus the fixed-coefficient prediction
+    from the L samples before it; returns int64 so no intermediate can
+    overflow.
     """
     coef = coefficients(order)
     x = np.asarray(samples, dtype=np.int64)

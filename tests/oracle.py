@@ -1,19 +1,36 @@
 """Scalar references: the object-at-a-time loops the fast paths replaced.
 
-The decoders walk the words one frame at a time with a plain history
-list, so they state the lossless and the erasure-tolerant decode
-contracts without any of the array core's bookkeeping. The streaming
-encoder queues PendingSample objects and picks each frame from the set
-of enabled types; the wire receiver walks the stream one 3-byte unit at
-a time. Tests diff ecgz.decoder.decode_channel and decode_resilient,
-ecgz.encoder.ChannelEncoder and ecgz.container.wire_decode against them.
+The predictor helpers compute one residual, or undo one, from a history
+list. The decoders walk the words one frame at a time with a plain
+history list, so they state the lossless and the erasure-tolerant
+decode contracts without any of the array core's bookkeeping. The
+streaming encoder queues PendingSample objects and picks each frame from
+the set of enabled types; the wire sender and receiver walk the stream
+one 3-byte unit at a time; the container codec packs and unpacks words
+with struct; the CSV reader parses cell by cell and the CSV writer
+formats with %d; the loss audit walks every frame and sample. Tests diff
+the package's array paths against them.
 """
 
+import csv
+import io
+import struct
 from collections import deque
 from typing import Sequence
 
+import numpy as np
+
 from ecgz import predictor
-from ecgz.container import SEQ_MOD, WireDecodeResult, WireGap, _reconcile_channel
+from ecgz.container import (
+    _HEAD,
+    MAGIC,
+    SEQ_MOD,
+    VERSION,
+    RecordMeta,
+    WireDecodeResult,
+    WireGap,
+    _reconcile_channel,
+)
 from ecgz.decoder import unpack_frame
 from ecgz.encoder import (
     FRAME_A,
@@ -27,8 +44,47 @@ from ecgz.encoder import (
     PendingSample,
     min_width_class,
 )
-from ecgz.errors import CorruptStreamError, TruncationError
-from ecgz.predictor import SAMPLE_BITS
+from ecgz.errors import (
+    BadMagicError,
+    BadVersionError,
+    ContainerError,
+    CorruptStreamError,
+    CountMismatchError,
+    TruncationError,
+)
+from ecgz.predictor import SAMPLE_BITS, SAMPLE_MAX, SAMPLE_MIN, coefficients
+
+
+def check_sample(x: int) -> int:
+    if not SAMPLE_MIN <= x <= SAMPLE_MAX:
+        raise ValueError(f"sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
+    return x
+
+
+def predict(history: Sequence[int], order: int) -> int:
+    """Predicted next sample from history (most recent first)."""
+    coef = coefficients(order)
+    if len(history) != len(coef):
+        raise ValueError(f"order-{order} predictor needs {len(coef)} history samples, got {len(history)}")
+    return sum(a * h for a, h in zip(coef, history))
+
+
+def prediction_error(x: int, history: Sequence[int], order: int) -> int:
+    check_sample(x)
+    return x - predict(history, order)
+
+
+def advance(history: Sequence[int], x: int) -> list[int]:
+    """Shift x into the history, dropping the oldest entry."""
+    return [x, *history[:-1]]
+
+
+def reconstruct(error: int, history: Sequence[int], order: int) -> int:
+    """Inverse of prediction_error; rejects results outside the sample range."""
+    x = predict(history, order) + error
+    if not SAMPLE_MIN <= x <= SAMPLE_MAX:
+        raise CorruptStreamError(f"reconstructed sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
+    return x
 
 
 def decode_channel_scalar(frames, expected_count: int, order: int = 2) -> list[int]:
@@ -167,8 +223,8 @@ class ChannelEncoderScalar:
 
     def push_sample(self, x: int) -> list[int]:
         """Accept one sample; return the frames it caused (possibly none)."""
-        err = predictor.prediction_error(x, self._history, self.config.order)
-        self._history = predictor.advance(self._history, x)
+        err = prediction_error(x, self._history, self.config.order)
+        self._history = advance(self._history, x)
         self.queue.append(PendingSample(x, err, min_width_class(err)))
         emitted = []
         if len(self.queue) == 6:
@@ -227,3 +283,148 @@ def wire_decode_scalar(
         for ch in range(channel_count):
             _reconcile_channel(result, ch, expected_frame_counts[ch])
     return result
+
+
+def wire_encode_scalar(emission_log: Sequence[tuple[int, int]]) -> bytes:
+    seq = [0, 0, 0, 0]
+    out = bytearray()
+    for ch, word in emission_log:
+        if not 0 <= ch <= 3:
+            raise ValueError(f"channel id {ch} outside 0..3")
+        if not 0 <= word <= 0xFFFF:
+            raise ValueError(f"frame word {word!r} is not a 16-bit value")
+        out.append((ch << 6) | (seq[ch] % SEQ_MOD))
+        out += word.to_bytes(2, "big")
+        seq[ch] += 1
+    return bytes(out)
+
+
+def write_ecgz_scalar(meta: RecordMeta, channel_frames: Sequence[Sequence[int]]) -> bytes:
+    if len(channel_frames) != meta.channel_count:
+        raise ValueError(f"meta declares {meta.channel_count} channels, got {len(channel_frames)}")
+    head = bytearray(MAGIC)
+    head += _HEAD.pack(
+        VERSION,
+        meta.channel_count,
+        meta.sample_rate_hz,
+        meta.resync_interval_samples,
+        meta.predictor_order,
+    )
+    for count, frames in zip(meta.sample_counts, channel_frames):
+        head += struct.pack(">II", count, len(frames))
+    parts = [bytes(head)]
+    for frames in channel_frames:
+        parts.append(struct.pack(f">{len(frames)}H", *frames))
+    return b"".join(parts)
+
+
+def read_ecgz_scalar(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
+    if len(data) < 4 + _HEAD.size:
+        raise TruncationError(f"file of {len(data)} bytes is shorter than the fixed header")
+    if data[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {data[:4]!r}")
+    version, channel_count, rate, resync, order = _HEAD.unpack_from(data, 4)
+    if version != VERSION:
+        raise BadVersionError(f"unsupported version {version}")
+    if not 1 <= channel_count <= 4:
+        raise ContainerError(f"channel count {channel_count} outside 1..4")
+    if not 1 <= order <= 4:
+        raise ContainerError(f"predictor order {order} outside 1..4")
+    off = 4 + _HEAD.size
+    if len(data) < off + 8 * channel_count:
+        raise TruncationError("file ends inside the per-channel count table")
+    sample_counts = []
+    frame_counts = []
+    for _ in range(channel_count):
+        ns, nf = struct.unpack_from(">II", data, off)
+        sample_counts.append(ns)
+        frame_counts.append(nf)
+        off += 8
+    payload_len = len(data) - off
+    need = 2 * sum(frame_counts)
+    if payload_len < need:
+        raise TruncationError(f"payload holds {payload_len} bytes, counts require {need}")
+    if payload_len > need:
+        raise CountMismatchError(f"{payload_len - need} payload bytes beyond the declared frames")
+    channels = []
+    for nf in frame_counts:
+        channels.append(list(struct.unpack_from(f">{nf}H", data, off)))
+        off += 2 * nf
+    meta = RecordMeta(channel_count, rate, resync, order, tuple(sample_counts))
+    return meta, channels
+
+
+def read_csv_scalar(text: str, channel_count: int | None = None) -> list[list[int]]:
+    channels: list[list[int]] | None = None
+    for rowno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row:
+            continue
+        if channels is None:
+            width = channel_count if channel_count is not None else len(row)
+            channels = [[] for _ in range(width)]
+        if len(row) != len(channels):
+            raise ValueError(f"row {rowno}: expected {len(channels)} columns, got {len(row)}")
+        for ch, cell in enumerate(row):
+            try:
+                value = int(cell.strip())
+            except ValueError:
+                raise ValueError(f"row {rowno}: {cell!r} is not an integer") from None
+            if not SAMPLE_MIN <= value <= SAMPLE_MAX:
+                raise ValueError(f"row {rowno}: sample {value} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
+            channels[ch].append(value)
+    if channels is None:
+        return [[] for _ in range(channel_count)] if channel_count else []
+    return channels
+
+
+def write_csv_scalar(path, channels, chunk_rows: int) -> None:
+    """The %d writer of `ecgz decompress`: one row per time step every channel has."""
+    rows = min((len(c) for c in channels), default=0)
+    table = np.column_stack([c[:rows] for c in channels]) if rows else None
+    fmt = ",".join(["%d"] * len(channels)) + "\n"
+    with open(path, "w") as fh:
+        for i in range(0, rows, chunk_rows):
+            block = table[i : i + chunk_rows]
+            fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
+def audit_channel_scalar(
+    truth: list[int],
+    counts: Sequence[int],
+    received: Sequence[int | None],
+    resilient_out: list[int | None],
+) -> list[bool] | None:
+    """Corrupted flag per true sample position, None if a decoded value is wrong."""
+    corrupted = [False] * len(truth)
+    pos = 0
+    ptr = 0
+    for frame_idx, count in enumerate(counts):
+        if received[frame_idx] is None:
+            corrupted[pos : pos + count] = [True] * count
+        else:
+            seg = resilient_out[ptr : ptr + count]
+            ptr += count
+            if seg != truth[pos : pos + count]:
+                for k, v in enumerate(seg, start=pos):
+                    if v is None:
+                        corrupted[k] = True
+                    elif v != truth[k]:
+                        return None
+        pos += count
+    if pos != len(truth) or ptr != len(resilient_out):
+        raise AssertionError("frame accounting disagrees with the sample count")
+    return corrupted
+
+
+def bool_runs_scalar(flags: Sequence[bool]) -> list[tuple[int, int]]:
+    spans = []
+    start = None
+    for i, f in enumerate(flags):
+        if f and start is None:
+            start = i
+        elif not f and start is not None:
+            spans.append((start, i))
+            start = None
+    if start is not None:
+        spans.append((start, len(flags)))
+    return spans

@@ -1,9 +1,14 @@
 """Ratio bookkeeping, database evaluation, and loss simulation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgz import bench, encoder
+from ecgz import bench, container, decoder, encoder
+from oracle import audit_channel_scalar, bool_runs_scalar
 from test_ingest import write_record
 
 
@@ -217,3 +222,52 @@ def test_loss_sweep_shares_the_encode():
     assert len(reports) == 8
     assert all(r.known_samples_exact and r.bound_ok for r in reports)
     assert {r.seed for r in reports} == set(range(8))
+
+
+def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
+    """(spans, recovery indices, corrupted count, exact) from the per-frame audit."""
+    received = container.wire_decode(
+        bench._drop_units(harness.wire, drops), len(harness.channels), harness.expected_frames
+    ).channels
+    spans, exact = [], True
+    for ch, truth in enumerate(harness.channels):
+        out, _ = decoder.decode_resilient(received[ch], len(truth), harness.config.order)
+        counts = [decoder.frame_sample_count(w) for w in harness.channel_frames[ch]]
+        corrupted = audit_channel_scalar(truth.tolist(), counts, received[ch], out)
+        if corrupted is None:
+            exact = False
+            corrupted = [True] * len(truth)
+        spans.append(bool_runs_scalar(corrupted))
+    corrupted_total = sum(stop - start for runs in spans for start, stop in runs)
+    return spans, [[stop for _, stop in runs] for runs in spans], corrupted_total, exact
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 1500),
+    st.sampled_from([0, 7, 50, 300]),
+    st.sampled_from(["none", "single", "random", "burst"]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed):
+    chans = [bench.synthetic_ecg(n, seed=seed + ch) for ch in range(nch)]
+    cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=1 + seed % 4)
+    harness = bench.LossHarness(chans, cfg)
+    pattern = bench.LossPattern(mode, drop_probability=0.05, burst_length=1 + seed % 5)
+    erasures = decoder._decode_erasures
+
+    def wrong_known_sample(*args):  # a decoder that claims a sample it got wrong
+        out, known, lost = erasures(*args)
+        if known.any():
+            out[np.flatnonzero(known)[seed % np.count_nonzero(known)]] += 1
+        return out, known, lost
+
+    with mock.patch.object(decoder, "_decode_erasures", wrong_known_sample if tamper else erasures):
+        report = harness.run(pattern, seed=seed)
+        expected = _report_by_frame_walk(harness, set(report.dropped_units))
+    got = (report.spans, report.recovery_indices, report.corrupted_samples, report.known_samples_exact)
+    assert got == expected
+    assert all(type(v) is int for runs in report.spans for span in runs for v in span)
+    assert type(report.corrupted_samples) is int and type(report.known_samples_exact) is bool

