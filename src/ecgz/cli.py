@@ -178,11 +178,14 @@ def _csv_bytes(columns: list[np.ndarray]) -> bytes:
 
 def cmd_decompress(args) -> int:
     meta, channel_words = container._read_words(args.input.read_bytes())
+    if len(set(meta.sample_counts)) > 1:
+        counts = ", ".join(f"channel {ch}: {n}" for ch, n in enumerate(meta.sample_counts))
+        raise EcgzError(f"cannot write CSV rows from channels of unequal length ({counts} samples)")
     channels = [
         decoder._decode_words(words, count, meta.predictor_order)
         for words, count in zip(channel_words, meta.sample_counts)
     ]
-    rows = min(meta.sample_counts, default=0)  # a row per time step every channel has
+    rows = min(meta.sample_counts, default=0)
     with open(args.output, "wb") as fh:
         for i in range(0, rows, CSV_CHUNK_ROWS):
             fh.write(_csv_bytes([c[i : min(i + CSV_CHUNK_ROWS, rows)] for c in channels]))

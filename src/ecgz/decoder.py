@@ -65,11 +65,6 @@ def unpack_frame(word: int) -> DecodedFrame:
     return DecodedFrame(ftype, [_field(word, ftype, j) for j in range(ftype.field_count)])
 
 
-def frame_sample_count(word: int) -> int:
-    """How many samples this frame carries (1 for Type E)."""
-    return parse_header(word).field_count
-
-
 # Samples per frame by the top four bits of a word; 0 marks the reserved header.
 _COUNT_BY_TOP4 = np.array([6, 4, 0, 1] + [2] * 4 + [3] * 8)  # D, C, reserved, E, then B and A
 

@@ -16,7 +16,10 @@ Type E, which stores the raw sample instead. Pending samples queue up
 (at most 6) and whenever the queue is full the densest applicable type
 wins, in priority order D, C, A, B, E. The array core (_encode_arrays,
 also run per channel by encode_multichannel) and the streaming
-ChannelEncoder share one width table, frame-size rule and packer.
+ChannelEncoder share one width table and one frame-size rule: the
+ChannelEncoder looks each frame size up in a table that the core's rule
+builds over every window of six width classes, and packs each type with
+one shift-and-or expression.
 
 Type E doubles as the resynchronization frame: at a configurable sample
 interval the encoder forces consecutive E frames so a decoder that lost
@@ -25,6 +28,7 @@ frames can rebuild its predictor history from the raw samples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -112,12 +116,32 @@ def _frame_size(widths: Sequence[int]) -> int:
     return FRAME_E.field_count
 
 
-def _pack(count: int, values: Sequence[int]) -> int:
-    """The word of the count-sample frame of values[:count]: raw samples for E, else residuals."""
-    word, width, mask = _PACKING[count]
-    for v in values[:count]:
-        word = (word << width) | (v & mask)
-    return word
+# The word of the count-sample frame at the front of v, by count (which alone
+# identifies the type): raw samples for E, else residuals. _PACKING states the
+# same layouts for the array core.
+_PACKERS = (
+    None,
+    lambda v: 0x3000 | (v[0] & 0xFFF),
+    lambda v: 0x4000 | (v[0] & 0x7F) << 7 | (v[1] & 0x7F),
+    lambda v: 0x8000 | (v[0] & 0x1F) << 10 | (v[1] & 0x1F) << 5 | (v[2] & 0x1F),
+    lambda v: 0x1000 | (v[0] & 7) << 9 | (v[1] & 7) << 6 | (v[2] & 7) << 3 | (v[3] & 7),
+    None,
+    lambda v: (v[0] & 3) << 10 | (v[1] & 3) << 8 | (v[2] & 3) << 6 | (v[3] & 3) << 4 | (v[4] & 3) << 2 | (v[5] & 3),
+)
+
+
+@functools.cache
+def _size_table() -> dict[int, int]:
+    """Frame size of every six-sample window of width classes, by rolling key.
+
+    The key holds one width class per 4 bits, the queue front highest.
+    The sizes come from the array core's rule, so the streaming encoder
+    and the core cannot disagree.
+    """
+    classes = np.array([*WIDTH_CLASSES, ESC], dtype=np.int64)
+    combos = classes[np.indices((classes.size,) * 6).reshape(6, -1).T]
+    keys = combos @ (1 << np.arange(20, -1, -4))
+    return dict(zip(keys.tolist(), _frame_counts(combos.ravel())[::6].tolist()))
 
 
 def frame_enable(queue: Sequence[PendingSample]) -> set[str]:
@@ -146,13 +170,13 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
     if len(payload) != ftype.field_count:
         raise ValueError(f"Type {ftype.tag} packs {ftype.field_count} samples, got {len(payload)}")
     if ftype.carries_original:
-        return _pack(1, [payload[0].original])
+        return _PACKERS[1]([payload[0].original])
     w = ftype.field_width
     half = 1 << (w - 1)
     for p in payload:
         if not -half <= p.error < half:
             raise AssertionError(f"residual {p.error} overflows a {w}-bit field; selection must prevent this")
-    return _pack(ftype.field_count, [p.error for p in payload])
+    return _PACKERS[ftype.field_count]([p.error for p in payload])
 
 
 @dataclass(frozen=True)
@@ -179,7 +203,11 @@ class ChannelEncoder:
         self.config = config or EncoderConfig()
         self._diffs = predictor.zero_state(self.config.order)  # previous x, Δx, ..., Δ^(L-1) x
         self._steps = range(len(self._diffs))
-        self._xs, self._es, self._widths = [], [], []  # the queue: samples, residuals, width classes
+        self._xs, self._es = [], []  # the queue: samples and residuals
+        # Width classes of the last six samples pushed, newest in the low 4 bits.
+        # A frame is chosen only with six queued, and those are the last six pushed.
+        self._key = 0
+        self._sizes = _size_table()
         # counts down to 0 at each resync; starts at 0 (never reached again) when resync is off
         self._until_resync = self.config.resync_interval_samples
         self.resync_pending = 0
@@ -191,16 +219,20 @@ class ChannelEncoder:
         e, d = x, self._diffs
         for k in self._steps:
             e, d[k] = e - d[k], e
-        self._xs.append(x)
-        self._es.append(e)
-        self._widths.append(_WIDTH_BY_RESIDUAL[e + 64] if -64 <= e < 64 else ESC)
-        if len(self._xs) < 6:
+        xs, es = self._xs, self._es
+        xs.append(x)
+        es.append(e)
+        self._key = key = (self._key << 4 | (_WIDTH_BY_RESIDUAL[e + 64] if -64 <= e < 64 else ESC)) & 0xFFFFFF
+        if len(xs) < 6:
             emitted = []
         elif self.resync_pending:
             self.resync_pending -= 1
-            emitted = [self._take(1)]
+            emitted = [_PACKERS[1](xs)]
+            del xs[0], es[0]
         else:
-            emitted = [self._take(_frame_size(self._widths))]
+            count = self._sizes[key]
+            emitted = [_PACKERS[count](xs if count == 1 else es)]
+            del xs[:count], es[:count]
         self._until_resync -= 1
         if self._until_resync == 0:
             self.resync_pending = self.config.resync_e_frames
@@ -209,15 +241,14 @@ class ChannelEncoder:
 
     def flush(self) -> list[int]:
         """Drain the queue at end of input; every queued sample gets framed."""
+        xs, es = self._xs, self._es
+        widths = [min_width_class(e) for e in es]
         words = []
-        while self._xs:
-            words.append(self._take(_frame_size(self._widths)))
+        while xs:
+            count = _frame_size(widths)
+            words.append(_PACKERS[count](xs if count == 1 else es))
+            del xs[:count], es[:count], widths[:count]
         return words
-
-    def _take(self, count: int) -> int:
-        word = _pack(count, self._xs if count == 1 else self._es)
-        del self._xs[:count], self._es[:count], self._widths[:count]
-        return word
 
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> list[int]:
@@ -292,7 +323,7 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
     x = np.asarray(samples, dtype=np.int64)
     words = np.zeros(starts.size, dtype=np.int64)
-    for count, (word, width, mask) in _PACKING.items():  # _pack, one pass per type
+    for count, (word, width, mask) in _PACKING.items():  # one pass per type
         sel = sizes == count
         q, source = starts[sel], x if count == 1 else err
         for j in range(count):

@@ -253,22 +253,26 @@ def _parse_csv_block(block: np.ndarray, rows: int, width: int) -> np.ndarray | N
 def _read_csv_cells(text: str, channel_count: int | None) -> list[list[int]]:
     """The lenient cell-by-cell parser: every form csv.reader accepts, and every error."""
     channels: list[list[int]] | None = None
-    for rowno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not row:
-            continue
-        if channels is None:
-            width = channel_count if channel_count is not None else len(row)
-            channels = [[] for _ in range(width)]
-        if len(row) != len(channels):
-            raise ValueError(f"row {rowno}: expected {len(channels)} columns, got {len(row)}")
-        for ch, cell in enumerate(row):
-            try:
-                value = int(cell.strip())
-            except ValueError:
-                raise ValueError(f"row {rowno}: {cell!r} is not an integer") from None
-            if not SAMPLE_MIN <= value <= SAMPLE_MAX:
-                raise ValueError(f"row {rowno}: sample {value} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
-            channels[ch].append(value)
+    rowno = 0
+    try:
+        for rowno, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            if not row:
+                continue
+            if channels is None:
+                width = channel_count if channel_count is not None else len(row)
+                channels = [[] for _ in range(width)]
+            if len(row) != len(channels):
+                raise ValueError(f"row {rowno}: expected {len(channels)} columns, got {len(row)}")
+            for ch, cell in enumerate(row):
+                try:
+                    value = int(cell.strip())
+                except ValueError:
+                    raise ValueError(f"row {rowno}: {cell!r} is not an integer") from None
+                if not SAMPLE_MIN <= value <= SAMPLE_MAX:
+                    raise ValueError(f"row {rowno}: sample {value} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
+                channels[ch].append(value)
+    except csv.Error as exc:  # only the reader raises it, while reading the row after rowno
+        raise ValueError(f"row {rowno + 1}: {exc}") from None
     if channels is None:
         return [[] for _ in range(channel_count)] if channel_count else []
     return channels

@@ -1,9 +1,11 @@
 """Scalar references: the object-at-a-time loops the fast paths replaced.
 
 The predictor helpers compute one residual, or undo one, from a history
-list. The decoders walk the words one frame at a time with a plain
-history list, so they state the lossless and the erasure-tolerant
-decode contracts without any of the array core's bookkeeping. The
+list; the frame packer loops over the fields and the sample counter
+parses one header. The decoders walk the words one frame at a time
+with a plain history list, so they state the lossless and the
+erasure-tolerant decode contracts without any of the array core's
+bookkeeping. The
 streaming encoder queues PendingSample objects and picks each frame from
 the set of enabled types; the wire sender and receiver walk the stream
 one 3-byte unit at a time; the container codec packs and unpacks words
@@ -31,7 +33,7 @@ from ecgz.container import (
     WireGap,
     _reconcile_channel,
 )
-from ecgz.decoder import unpack_frame
+from ecgz.decoder import parse_header, unpack_frame
 from ecgz.encoder import (
     FRAME_A,
     FRAME_B,
@@ -39,6 +41,7 @@ from ecgz.encoder import (
     FRAME_D,
     FRAME_E,
     PRIORITY,
+    _PACKING,
     EncoderConfig,
     FrameType,
     PendingSample,
@@ -209,6 +212,19 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
             raise AssertionError(f"residual {p.error} overflows a {w}-bit field; selection must prevent this")
         word = (word << w) | (p.error & mask)
     return word
+
+
+def pack_scalar(count: int, values: Sequence[int]) -> int:
+    """The word of the count-sample frame of values[:count]: raw samples for E, else residuals."""
+    word, width, mask = _PACKING[count]
+    for v in values[:count]:
+        word = (word << width) | (v & mask)
+    return word
+
+
+def frame_sample_count(word: int) -> int:
+    """How many samples this frame carries (1 for Type E)."""
+    return parse_header(word).field_count
 
 
 class ChannelEncoderScalar:

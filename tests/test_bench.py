@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgz import bench, container, decoder, encoder
-from oracle import audit_channel_scalar, bool_runs_scalar
+from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count
 from test_ingest import write_record
 
 
@@ -232,7 +232,7 @@ def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
     spans, exact = [], True
     for ch, truth in enumerate(harness.channels):
         out, _ = decoder.decode_resilient(received[ch], len(truth), harness.config.order)
-        counts = [decoder.frame_sample_count(w) for w in harness.channel_frames[ch]]
+        counts = [frame_sample_count(w) for w in harness.channel_frames[ch]]
         corrupted = audit_channel_scalar(truth.tolist(), counts, received[ch], out)
         if corrupted is None:
             exact = False

@@ -183,8 +183,8 @@ def test_simulate_loss_none_mode_is_lossless(capsys):
     assert "dropped 0 unit(s)" in capsys.readouterr().out
 
 
-def _decompress_both_ways(tmp: Path, lengths, seed: int, chunk_rows: int) -> tuple[bytes, bytes]:
-    """`ecgz decompress` output and the %d writer's, for channels of the given lengths."""
+def _packed_channels(tmp: Path, lengths, seed: int) -> tuple[Path, list[list[int]]]:
+    """A container of seeded channels of the given lengths, and the channels."""
     rng = np.random.default_rng(seed)
     chans = []
     for n in lengths:
@@ -194,8 +194,15 @@ def _decompress_both_ways(tmp: Path, lengths, seed: int, chunk_rows: int) -> tup
     cfg = encoder.EncoderConfig(resync_interval_samples=int(rng.integers(0, 50)))
     frames = [encoder.encode_channel(c, cfg) for c in chans]
     meta = container.RecordMeta(len(chans), 360, cfg.resync_interval_samples, cfg.order, tuple(lengths))
-    packed, restored, expected = tmp / "rec.ecgz", tmp / "out.csv", tmp / "expected.csv"
+    packed = tmp / "rec.ecgz"
     packed.write_bytes(container.write_ecgz(meta, frames))
+    return packed, chans
+
+
+def _decompress_both_ways(tmp: Path, lengths, seed: int, chunk_rows: int) -> tuple[bytes, bytes]:
+    """`ecgz decompress` output and the %d writer's, for channels of the given lengths."""
+    packed, chans = _packed_channels(tmp, lengths, seed)
+    restored, expected = tmp / "out.csv", tmp / "expected.csv"
     with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk_rows):
         assert cli.main(["decompress", str(packed), str(restored)]) == 0
     write_csv_scalar(expected, chans, chunk_rows)
@@ -205,13 +212,28 @@ def _decompress_both_ways(tmp: Path, lengths, seed: int, chunk_rows: int) -> tup
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 40), min_size=1, max_size=4), st.integers(1, 7), st.integers(0, 2**32 - 1))
 def test_decompressed_csv_matches_the_percent_d_writer(lengths, chunk_rows, seed):
+    # A CSV row takes one sample from every channel: unequal lengths are refused, and the
+    # shortest length, given to every channel, is written.
     with tempfile.TemporaryDirectory() as tmp:
-        got, expected = _decompress_both_ways(Path(tmp), lengths, seed, chunk_rows)
+        if len(set(lengths)) > 1:
+            packed, _ = _packed_channels(Path(tmp), lengths, seed)
+            assert cli.main(["decompress", str(packed), str(Path(tmp) / "out.csv")]) == 2
+            assert not (Path(tmp) / "out.csv").exists()
+        got, expected = _decompress_both_ways(Path(tmp), [min(lengths)] * len(lengths), seed, chunk_rows)
     assert got == expected
 
 
 def test_decompressed_csv_crosses_the_write_chunk(tmp_path):
-    lengths = (cli.CSV_CHUNK_ROWS + 37, cli.CSV_CHUNK_ROWS + 900, cli.CSV_CHUNK_ROWS + 5)
+    lengths = (cli.CSV_CHUNK_ROWS + 37,) * 3
     got, expected = _decompress_both_ways(tmp_path, lengths, 4, cli.CSV_CHUNK_ROWS)
     assert got == expected
-    assert got.count(b"\n") == cli.CSV_CHUNK_ROWS + 5
+    assert got.count(b"\n") == cli.CSV_CHUNK_ROWS + 37
+
+
+def test_decompress_refuses_unequal_channel_lengths(tmp_path, capsys):
+    packed, _ = _packed_channels(tmp_path, (5, 9, 5), 1)
+    restored = tmp_path / "out.csv"
+    assert cli.main(["decompress", str(packed), str(restored)]) == 2
+    assert not restored.exists()
+    err = capsys.readouterr().err
+    assert "channel 0: 5, channel 1: 9, channel 2: 5" in err

