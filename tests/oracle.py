@@ -5,13 +5,12 @@ list; the frame packer loops over the fields and the sample counter
 parses one header. The decoders walk the words one frame at a time
 with a plain history list, so they state the lossless and the
 erasure-tolerant decode contracts without any of the array core's
-bookkeeping. The
-streaming encoder queues PendingSample objects and picks each frame from
-the set of enabled types; the wire sender and receiver walk the stream
-one 3-byte unit at a time; the container codec packs and unpacks words
-with struct; the CSV reader parses cell by cell and the CSV writer
-formats with %d; the loss audit walks every frame and sample. Tests diff
-the package's array paths against them.
+bookkeeping. The streaming encoder queues PendingSample objects and
+picks each frame from the set of enabled types; the wire sender and
+receiver walk the stream one 3-byte unit at a time; the container codec
+packs and unpacks words with struct; the CSV reader parses cell by cell
+and the CSV writer formats with %d; the loss audit walks every frame
+and sample. Tests diff the package's array paths against them.
 """
 
 import csv

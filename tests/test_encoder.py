@@ -178,7 +178,7 @@ def test_pack_frame_rejects_field_overflow():
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
 def test_packers_match_the_scalar_loop(count):
-    header, width, mask = encoder._PACKING[count]
+    header, width, _ = encoder._PACKING[count]
     half = 1 << (width - 1)
     pack = encoder._PACKERS[count]
     rng = np.random.default_rng(count)
