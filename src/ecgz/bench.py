@@ -182,6 +182,7 @@ def evaluate_channels(
     if payload_bits != 16 * total_frames:
         raise AssertionError("serialized payload disagrees with 16 bits per frame")
 
+    escape_bits = predictor.residual_bits(config.order)  # the selective estimator's raw residual
     rows = []
     for ch, samples in enumerate(channels):
         words = channel_words[ch]
@@ -191,7 +192,7 @@ def evaluate_channels(
         symbols, counts = np.unique(errors, return_counts=True)
         hist = dict(zip(symbols.tolist(), counts.tolist()))
         ideal = baselines.ideal_huffman_bits_from_hist(hist)
-        sel = {m: baselines.selective_huffman_bits_from_hist(hist, m) for m in m_values}
+        sel = {m: baselines.selective_huffman_bits_from_hist(hist, m, escape_bits) for m in m_values}
         rows.append(
             ChannelRow(
                 record=record_name,

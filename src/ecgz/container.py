@@ -246,16 +246,18 @@ def _reconcile_channel(result: WireDecodeResult, ch: int, expected: int) -> None
     if deficit == 0:
         return
     ch_gaps = [g for g in result.gaps if g.channel == ch]
-    if len(ch_gaps) == 1:
-        # A lone gap with a shortfall means whole mod-64 cycles vanished
-        # inside it; grow it, but its true extent stays uncertain.
+    # Units dropped after the channel's last received one show in no
+    # sequence number; under one mod-64 cycle they are exactly the deficit
+    # mod 64. Whole cycles may instead have vanished inside a gap: a lone
+    # gap takes them, otherwise (no gap, or no way to tell which of several
+    # swallowed them) they join the tail. Either way their place is uncertain.
+    cycles = deficit - deficit % SEQ_MOD
+    if cycles and len(ch_gaps) == 1:
         gap = ch_gaps[0]
-        frames[gap.index : gap.index] = [None] * deficit
-        gap.missing += deficit
+        frames[gap.index : gap.index] = [None] * cycles
+        gap.missing += cycles
         gap.ambiguous = True
-        return
-    # No gap (pure tail loss, exact when under one mod-64 cycle) or several
-    # gaps (no way to tell which one swallowed the extra cycles).
-    ambiguous = bool(ch_gaps) or deficit >= SEQ_MOD
-    result.gaps.append(WireGap(ch, len(frames), deficit, ambiguous=ambiguous))
-    frames.extend([None] * deficit)
+        deficit -= cycles
+    if deficit:
+        result.gaps.append(WireGap(ch, len(frames), deficit, ambiguous=cycles > 0))
+        frames.extend([None] * deficit)

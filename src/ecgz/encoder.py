@@ -24,6 +24,13 @@ one shift-and-or expression.
 Type E doubles as the resynchronization frame: at a configurable sample
 interval the encoder forces consecutive E frames so a decoder that lost
 frames can rebuild its predictor history from the raw samples.
+
+The core finds every frame start without a per-frame loop. A step table
+sends each position to the start of the next frame, with the forced E
+frames of each resync folded in at the few positions just before it.
+Pointer doubling over that table jumps 32 frames at a time, so a short
+loop collects one anchor per 32 frames, and gathers of the step table
+fill in the frames between anchors.
 """
 
 from __future__ import annotations
@@ -287,39 +294,110 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _frame_starts(counts: list[int], n: int, interval: int, e_frames: int) -> list[int]:
-    """First sample of every frame, walked a frame (not a sample) at a time.
+# The doubling table jumps 2**_DOUBLINGS frames; a Python loop steps over
+# those jumps, about one per 90 samples of ECG.
+_DOUBLINGS = 5
+
+
+def _forced_end(landing: np.ndarray, last: int, interval: int, e_frames: int) -> np.ndarray:
+    """End of the forced single frames from each landing, chained through stops.
+
+    A frame from a landing at or after stop k * interval - 5 goes out with
+    a resync pending, so it and the frames after it are Type E, up to
+    e_frames of them, the flush at last = n - 5, or the next stop. At
+    that stop a new resync restarts the count of e_frames.
+    """
+    if interval <= e_frames:  # every forced run reaches the next stop
+        return np.full_like(landing, last)
+    stop = landing + interval - (landing + 5) % interval  # the next stop after each landing
+    end = np.minimum(np.minimum(landing + e_frames, last), stop)
+    return np.where((stop <= landing + e_frames) & (stop < last), np.minimum(stop + e_frames, last), end)
+
+
+def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
+    """First sample of every frame, given the greedy frame size at every position.
 
     The frame starting at qs goes out when sample qs + 5 arrives, or in
     the final flush once qs + 5 >= n. A resync fired after sample
     k * interval - 1 forces Type E on the next e_frames emissions; a
-    later one restarts the count, and the flush ignores it.
+    later one restarts the count, and the flush ignores it. So the walk
+    is greedy except where a frame lands at or after a stop
+    k * interval - 5.
+
+    - Step table: position i steps to i + counts[i]. Only the six
+      positions before each stop can step onto or over it; from those,
+      a landing before the flush steps on to where its forced E frames
+      end (_forced_end), and the forced frames are put back at the end.
+    - Pointer doubling: _DOUBLINGS gathers make a table that jumps
+      2**_DOUBLINGS frames, a Python loop collects every such anchor of
+      the chain from the first frame, and gathers of the step table fill
+      in the frames between anchors. Two tables hold the levels in turn.
     """
-    starts: list[int] = []
-    append = starts.append
-    qs, fire = 0, interval or n  # fire: first emission position with a resync pending
-    while qs + 5 < n:
-        stop = min(n, fire) - 5
-        while qs < stop:
-            append(qs)
-            qs += counts[qs]
-        if qs + 5 < n:
-            fire = ((qs + 5) // interval + 1) * interval
-            forced_end = min(qs + e_frames, n - 5, fire - 5)
-            starts.extend(range(qs, forced_end))
-            qs = forced_end
-    while qs < n:
-        append(qs)
-        qs += counts[qs]
+    n = counts.size
+    last = n - 5  # frames from here on go out in the flush
+    index_type = np.int32 if n < 1 << 31 else np.int64  # int32 halves the tables of any real record
+    step = np.arange(n + 1, dtype=index_type)  # step[n] = n ends every chain
+    step[:n] += counts
+    start, froms = 0, np.zeros(0, dtype=np.int64)
+    if interval and last > max(interval - 5, 0):  # a resync fires before the flush
+        # the six positions before each stop, fewer where stops are closer
+        froms = (np.arange(interval - 5, last, interval)[:, None] - np.arange(min(interval, 6), 0, -1)).ravel()
+        froms = froms[froms >= 0]
+        landings = froms + counts[froms]
+        hit = (landings < last) & ((landings + 5) // interval > (froms + 5) // interval)  # a stop in (from, landing]
+        froms, landings = froms[hit], landings[hit]
+        ends = _forced_end(landings, last, interval, e_frames)
+        step[froms] = ends
+        if interval <= 5:  # the first resync fires before the first frame goes out
+            start = int(_forced_end(np.zeros(1, dtype=np.int64), last, interval, e_frames)[0])
+    # mode="clip" never clips (every entry indexes the table) but lets take write into out unbuffered
+    jump, spare = step.take(step), np.empty_like(step)
+    for _ in range(_DOUBLINGS - 1):
+        jump.take(jump, out=spare, mode="clip")
+        jump, spare = spare, jump
+    del spare
+    anchors, jumps, a = [], memoryview(jump), start  # a memoryview indexes to plain ints
+    while a < n:
+        anchors.append(a)
+        a = jumps[a]
+    del jumps, jump
+    # row k: k frames past each anchor; a chain from start reaches n within n - start frames
+    chain = np.empty((min(1 << _DOUBLINGS, n - start + 1), len(anchors)), dtype=index_type)
+    chain[0] = anchors
+    rows = list(chain)
+    for prev, row in zip(rows, rows[1:]):
+        step.take(prev, out=row, mode="clip")
+    chain = chain.T.ravel()
+    starts = chain[: np.searchsorted(chain, n)].astype(np.int64)
+    if froms.size:  # the forced frames follow each from that the chain takes
+        at = np.searchsorted(starts, froms)
+        taken = starts[np.minimum(at, starts.size - 1)] == froms  # starts is not empty when froms is not
+        runs = (ends - landings)[taken]
+        forced = np.arange(runs.sum())  # forced frame q is the (q - before)-th of its run
+        before = np.repeat(np.cumsum(runs) - runs, runs)
+        placed = forced + np.repeat(at[taken] + 1, runs)  # right after its from, behind earlier runs
+        merged = np.empty(starts.size + forced.size, dtype=np.int64)
+        chained = np.ones(merged.size, dtype=bool)
+        chained[placed] = False
+        merged[chained] = starts
+        merged[placed] = np.repeat(landings[taken], runs) + forced - before
+        starts = merged
+    if start:  # the frames before the start are forced ones
+        starts = np.concatenate([np.arange(start), starts])
     return starts
 
 
 def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Frame words and emission positions of one channel, as int64 arrays."""
+    """Frame words and emission positions of one channel, as int64 arrays.
+
+    Residuals give width classes, the width classes the greedy frame size
+    at every position (_frame_counts), and the step table with its
+    pointer doubling every frame start (_frame_walk). The sizes between
+    starts name the types, and each type is packed in one numpy pass.
+    """
     err = predictor.residuals(samples, cfg.order)  # validates sample range
     n = err.size
-    counts = _frame_counts(width_classes(err)).tolist()
-    starts = np.array(_frame_starts(counts, n, cfg.resync_interval_samples, cfg.resync_e_frames), dtype=np.int64)
+    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
     sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
     x = np.asarray(samples, dtype=np.int64)
     words = np.zeros(starts.size, dtype=np.int64)

@@ -24,7 +24,8 @@ SAMPLE_BITS = 12
 SAMPLE_MIN = -(1 << (SAMPLE_BITS - 1))
 SAMPLE_MAX = (1 << (SAMPLE_BITS - 1)) - 1
 
-# Residuals of orders 1..2 on 12-bit input always fit 14 bits.
+# Residuals of the default order 2 on 12-bit input always fit 14 bits;
+# residual_bits gives the width at every order.
 RESIDUAL_BITS = SAMPLE_BITS + 2
 
 PREDICTOR_COEFFS: dict[int, tuple[int, ...]] = {
@@ -40,6 +41,15 @@ def coefficients(order: int) -> tuple[int, ...]:
         return PREDICTOR_COEFFS[order]
     except KeyError:
         raise ValueError(f"predictor order must be 1..4, got {order!r}") from None
+
+
+def residual_bits(order: int) -> int:
+    """Two's-complement width that holds every order-L residual of 12-bit input.
+
+    The residual is the L-th difference of the samples, so it spans
+    +-4095 * 2**(L-1): 13, 14, 15 and 16 bits for orders 1-4.
+    """
+    return SAMPLE_BITS + len(coefficients(order))
 
 
 def zero_state(order: int) -> list[int]:

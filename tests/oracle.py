@@ -6,11 +6,13 @@ parses one header. The decoders walk the words one frame at a time
 with a plain history list, so they state the lossless and the
 erasure-tolerant decode contracts without any of the array core's
 bookkeeping. The streaming encoder queues PendingSample objects and
-picks each frame from the set of enabled types; the wire sender and
-receiver walk the stream one 3-byte unit at a time; the container codec
-packs and unpacks words with struct; the CSV reader parses cell by cell
-and the CSV writer formats with %d; the loss audit walks every frame
-and sample. Tests diff the package's array paths against them.
+picks each frame from the set of enabled types, and the frame walk
+steps from one frame start to the next in a Python loop; the wire
+sender and receiver walk the stream one 3-byte unit at a time; the
+container codec packs and unpacks words with struct; the CSV reader
+parses cell by cell and the CSV writer formats with %d; the loss audit
+walks every frame and sample. Tests diff the package's array paths
+against them.
 """
 
 import csv
@@ -224,6 +226,33 @@ def pack_scalar(count: int, values: Sequence[int]) -> int:
 def frame_sample_count(word: int) -> int:
     """How many samples this frame carries (1 for Type E)."""
     return parse_header(word).field_count
+
+
+def frame_starts_scalar(counts: list[int], n: int, interval: int, e_frames: int) -> list[int]:
+    """First sample of every frame, walked a frame (not a sample) at a time.
+
+    The frame starting at qs goes out when sample qs + 5 arrives, or in
+    the final flush once qs + 5 >= n. A resync fired after sample
+    k * interval - 1 forces Type E on the next e_frames emissions; a
+    later one restarts the count, and the flush ignores it.
+    """
+    starts: list[int] = []
+    append = starts.append
+    qs, fire = 0, interval or n  # fire: first emission position with a resync pending
+    while qs + 5 < n:
+        stop = min(n, fire) - 5
+        while qs < stop:
+            append(qs)
+            qs += counts[qs]
+        if qs + 5 < n:
+            fire = ((qs + 5) // interval + 1) * interval
+            forced_end = min(qs + e_frames, n - 5, fire - 5)
+            starts.extend(range(qs, forced_end))
+            qs = forced_end
+    while qs < n:
+        append(qs)
+        qs += counts[qs]
+    return starts
 
 
 class ChannelEncoderScalar:

@@ -4,10 +4,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecgz import bench, container, decoder, encoder
+from ecgz import baselines, bench, container, decoder, encoder, predictor
 from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count
 from test_ingest import write_record
 
@@ -49,6 +49,18 @@ def test_evaluate_channels_row_contents():
     assert set(row.selective_bcr) == {8, 64}
     assert row.ideal_bcr >= row.bcr  # codebook-free bound beats the packer
     assert row.selective_bits[8] >= row.ideal_bits
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_selective_escapes_cost_the_residual_width_of_the_order(order):
+    rng = np.random.default_rng(order)
+    xs = np.cumsum(rng.integers(-40, 41, size=800)).clip(-2048, 2047).tolist()
+    cfg = encoder.EncoderConfig(resync_interval_samples=0, order=order)
+    (row,) = bench.evaluate_channels("walk", [xs], cfg, m_values=(4,))
+    errors = predictor.residuals(xs, order).tolist()
+    assert row.selective_bits[4] == baselines.selective_huffman_bits(errors, 4, escape_bits=12 + order)
+    if order == 2:  # the default prices escapes as before
+        assert row.selective_bits[4] == baselines.selective_huffman_bits(errors, 4)
 
 
 def test_database_report_pools_channels_per_record(tmp_path):
@@ -251,6 +263,7 @@ def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
     st.booleans(),
     st.integers(0, 2**16),
 )
+@example(nch=3, n=110, interval=50, mode="random", tamper=False, seed=2190)  # a lone gap and a lost tail unit
 def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed):
     chans = [bench.synthetic_ecg(n, seed=seed + ch) for ch in range(nch)]
     cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=1 + seed % 4)

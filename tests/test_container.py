@@ -218,6 +218,29 @@ def test_wire_two_separate_drops():
     assert all(not g.ambiguous for g in result.gaps)
 
 
+def test_wire_lone_gap_and_lost_tail_are_placed_exactly():
+    # the tail unit shows in no sequence number; the deficit under one
+    # mod-64 cycle belongs at the end, not in the interior gap
+    log = [(0, w) for w in range(80)]
+    data = drop_units(container.wire_encode(log), {10, 79})
+    result = container.wire_decode(data, 1, expected_frame_counts=[80])
+    frames = result.channels[0]
+    assert len(frames) == 80
+    assert [i for i, w in enumerate(frames) if w is None] == [10, 79]
+    assert [w for w in frames if w is not None] == [w for i, (_, w) in enumerate(log) if i not in (10, 79)]
+    assert [(g.index, g.missing, g.ambiguous) for g in result.gaps] == [(10, 1, False), (79, 1, False)]
+
+
+def test_wire_lone_gap_takes_only_whole_cycles():
+    # 64 + 1 lost in the burst (seen as one) plus 2 lost at the tail
+    log = [(0, w) for w in range(200)]
+    data = drop_units(container.wire_encode(log), {*range(50, 115), 198, 199})
+    result = container.wire_decode(data, 1, expected_frame_counts=[200])
+    frames = result.channels[0]
+    assert [i for i, w in enumerate(frames) if w is None] == [*range(50, 115), 198, 199]
+    assert [(g.index, g.missing, g.ambiguous) for g in result.gaps] == [(50, 65, True), (198, 2, True)]
+
+
 def test_wire_interleaved_channels_with_loss():
     log = [(i % 2, 1000 + i) for i in range(60)]
     data = drop_units(container.wire_encode(log), {13})

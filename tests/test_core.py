@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from ecgz import decoder, encoder
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
-from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar
+from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar, frame_starts_scalar
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
 
@@ -66,6 +66,30 @@ def test_encoder_core_matches_the_streaming_encoder(case):
     words += tail
     positions += [n] * len(tail)
     assert encoder.encode_channel_indexed(xs, _config(order, interval, e_frames)) == (words, positions)
+
+
+def _walk_widths(kind: str, n: int, seed: int) -> np.ndarray:
+    if kind == "all_D":  # every frame is six samples: chains from different starts never merge
+        return np.full(n, 2)
+    if kind == "all_E":
+        return np.full(n, encoder.ESC)
+    rng = np.random.default_rng(seed)
+    weights = {"mixed": [1, 1, 1, 1, 1], "mostly_D": [12, 2, 1, 1, 1], "mostly_E": [1, 1, 1, 1, 8]}[kind]
+    return rng.choice([2, 3, 5, 7, encoder.ESC], size=n, p=np.array(weights) / sum(weights))
+
+
+@pytest.mark.parametrize("interval", [*range(17), 50, 1440])
+def test_frame_walk_matches_the_scalar_walk(interval):
+    lengths = [*range(41), *range(41, 601, 23), 600]
+    if interval > 40:  # around the second resync, which 1440 reaches only past 600 samples
+        lengths += [2 * interval + d for d in range(-6, 7)]
+    for n in lengths:
+        for kind in ("all_D", "all_E", "mixed", "mostly_D", "mostly_E"):
+            counts = encoder._frame_counts(_walk_widths(kind, n, seed=n * 1000 + interval))
+            for e_frames in (1, 2):
+                got = encoder._frame_walk(counts, interval, e_frames)
+                assert got.dtype == np.int64
+                assert got.tolist() == frame_starts_scalar(counts.tolist(), n, interval, e_frames), (n, kind, e_frames)
 
 
 def _push(enc, x):

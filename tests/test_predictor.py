@@ -66,6 +66,18 @@ def test_higher_orders_can_exceed_the_residual_budget():
     assert worst3 >= 1 << (predictor.RESIDUAL_BITS - 1)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_residual_bits_holds_the_widest_residual_exactly(order):
+    # samples alternating between the rails give the widest L-th difference
+    rails = [predictor.SAMPLE_MAX, predictor.SAMPLE_MIN] * 8
+    worst = max(abs(e) for e in predictor.residuals(rails, order)[order:].tolist())
+    assert worst == 4095 << (order - 1)
+    bits = predictor.residual_bits(order)
+    assert bits == 12 + order
+    assert -(1 << (bits - 1)) <= -worst and worst < 1 << (bits - 1)
+    assert worst >= 1 << (bits - 2)  # one bit fewer would not hold it
+
+
 def test_check_sample_bounds():
     assert check_sample(predictor.SAMPLE_MAX) == predictor.SAMPLE_MAX
     assert check_sample(predictor.SAMPLE_MIN) == predictor.SAMPLE_MIN
