@@ -1,7 +1,8 @@
 """The encode and decode cores against their scalar references.
 
 The streaming ChannelEncoder must return its scalar oracle's words from
-every push; the encoder core must emit the streaming encoder's words at
+every push; the encoder core's frame walk must find the scalar walk's
+frame starts, the encoder core must emit the streaming encoder's words at
 the same positions, and encode_multichannel the scalar encoders' words
 in their emission order; both decoders must return their scalar
 oracle's samples (and unknown spans) or raise the same EcgzError class,
