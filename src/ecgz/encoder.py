@@ -332,6 +332,8 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
       2**_DOUBLINGS frames, a Python loop collects every such anchor of
       the chain from the first frame, and gathers of the step table fill
       in the frames between anchors. Two tables hold the levels in turn.
+      A chain shorter than one jump has its first frame as sole anchor
+      and builds no jump table.
     """
     n = counts.size
     last = n - 5  # frames from here on go out in the flush
@@ -350,18 +352,21 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
         step[froms] = ends
         if interval <= 5:  # the first resync fires before the first frame goes out
             start = int(_forced_end(np.zeros(1, dtype=np.int64), last, interval, e_frames)[0])
-    # mode="clip" never clips (every entry indexes the table) but lets take write into out unbuffered
-    jump, spare = step.take(step), np.empty_like(step)
-    for _ in range(_DOUBLINGS - 1):
-        jump.take(jump, out=spare, mode="clip")
-        jump, spare = spare, jump
-    del spare
-    anchors, jumps, a = [], memoryview(jump), start  # a memoryview indexes to plain ints
-    while a < n:
-        anchors.append(a)
-        a = jumps[a]
-    del jumps, jump
-    # row k: k frames past each anchor; a chain from start reaches n within n - start frames
+    anchors = [start]  # a chain from start reaches n within n - start frames, so one anchor covers it
+    if n - start >= 1 << _DOUBLINGS:
+        # mode="clip" never clips (every entry indexes the table) but lets take write into out unbuffered
+        jump, spare = step.take(step), np.empty_like(step)
+        for _ in range(_DOUBLINGS - 1):
+            jump.take(jump, out=spare, mode="clip")
+            jump, spare = spare, jump
+        del spare
+        jumps = memoryview(jump)  # a memoryview indexes to plain ints
+        a = jumps[start]
+        while a < n:
+            anchors.append(a)
+            a = jumps[a]
+        del jumps, jump
+    # row k: k frames past each anchor
     chain = np.empty((min(1 << _DOUBLINGS, n - start + 1), len(anchors)), dtype=index_type)
     chain[0] = anchors
     rows = list(chain)
@@ -375,13 +380,7 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
         runs = (ends - landings)[taken]
         forced = np.arange(runs.sum())  # forced frame q is the (q - before)-th of its run
         before = np.repeat(np.cumsum(runs) - runs, runs)
-        placed = forced + np.repeat(at[taken] + 1, runs)  # right after its from, behind earlier runs
-        merged = np.empty(starts.size + forced.size, dtype=np.int64)
-        chained = np.ones(merged.size, dtype=bool)
-        chained[placed] = False
-        merged[chained] = starts
-        merged[placed] = np.repeat(landings[taken], runs) + forced - before
-        starts = merged
+        starts = np.insert(starts, np.repeat(at[taken] + 1, runs), np.repeat(landings[taken], runs) + forced - before)
     if start:  # the frames before the start are forced ones
         starts = np.concatenate([np.arange(start), starts])
     return starts

@@ -4,22 +4,14 @@ The benchmark tests need PhysioNet record files that are not shipped
 with the repository. Point ECGZ_MITDB_DIR / ECGZ_CDB_DIR at directories
 of .hea/.dat files, or place them under data/mitdb and data/cdb; tests
 that need them skip with download instructions otherwise.
-
-HYPOTHESIS_PROFILE=ci selects a profile that prints the reproduction
-blob of every failing example, so a failure seen only in a CI log can
-be replayed with @reproduce_failure.
 """
 
 import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from ecgz import encoder
-
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
