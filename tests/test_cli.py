@@ -237,3 +237,95 @@ def test_decompress_refuses_unequal_channel_lengths(tmp_path, capsys):
     assert not restored.exists()
     err = capsys.readouterr().err
     assert "channel 0: 5, channel 1: 9, channel 2: 5" in err
+
+
+# ---------------------------------------------------------------------------
+# Report output, pinned byte for byte
+
+GOLDEN_BENCH = """\
+      record       samples        packer  selective(best m)         ideal
+          g1           960         2.215         2.011         2.416
+          g2           960         2.169         2.011         2.416
+          g3           960         2.182         2.014         2.420
+     average          2880         2.189         2.012         2.417
+
+packer avg 2.189 (max 2.215)  selective avg 2.012 at m=64  ideal avg 2.417
+wrote <out>/bcr_report.csv
+"""
+
+GOLDEN_BENCH_CSV = """\
+record,channel,samples,frames,bits,bcr,ideal_bcr,selective_bcr_m8,selective_bcr_m16,selective_bcr_m32,selective_bcr_m64
+g1,0,480,163,2608,2.2086,2.4040,1.0942,1.4049,1.9773,2.0028
+g1,1,480,162,2592,2.2222,2.4283,1.1420,1.4545,2.0014,2.0196
+g2,0,480,166,2656,2.1687,2.4010,1.1345,1.4198,1.9506,2.0007
+g2,1,480,166,2656,2.1687,2.4314,1.1444,1.5118,1.9807,2.0218
+g3,0,480,163,2608,2.2086,2.4202,1.1081,1.4582,1.9938,2.0140
+g3,1,480,167,2672,2.1557,2.4202,1.1470,1.4977,1.9645,2.0140
+"""
+
+GOLDEN_BENCH_FLAGS = """\
+      record       samples        packer  selective(best m)         ideal
+          g1           960         2.031         1.310         2.215
+          g2           960         1.988         1.342         2.215
+          g3           960         2.000         1.355         2.218
+     average          2880         2.006         1.336         2.216
+
+packer avg 2.006 (max 2.031)  selective avg 1.336 at m=16  ideal avg 2.216
+"""
+
+GOLDEN_PREDICT = """\
+      record            ch       mape o1       mape o2       mape o3       mape o4      rmspe o1      rmspe o2      rmspe o3      rmspe o4
+          g1             0         4.900         6.650        11.581        21.142         5.613         8.048        13.993        25.575
+          g1             1         4.710         6.246        11.075        19.850         5.432         7.691        13.453        24.692
+          g2             0         4.881         6.581        11.533        20.810         5.591         8.069        14.099        25.840
+          g2             1         4.665         6.167        10.750        19.292         5.436         7.605        13.097        23.816
+          g3             0         4.662         6.500        11.477        21.204         5.361         7.779        13.770        25.466
+          g3             1         4.781         6.235        10.754        19.179         5.527         7.729        13.132        23.625
+average(ch0)                       4.815         6.577        11.531        21.052         5.522         7.965        13.954        25.627
+
+lowest average error at order 1 (mape), order 1 (rmspe)
+wrote <out>/predictor_report.csv
+"""
+
+GOLDEN_PREDICT_CSV = """\
+record,channel,mape_1,mape_2,mape_3,mape_4,rmspe_1,rmspe_2,rmspe_3,rmspe_4
+g1,0,4.9000,6.6500,11.5813,21.1417,5.6132,8.0480,13.9932,25.5755
+g1,1,4.7104,6.2458,11.0750,19.8500,5.4320,7.6906,13.4532,24.6924
+g2,0,4.8812,6.5812,11.5333,20.8104,5.5911,8.0688,14.0989,25.8401
+g2,1,4.6646,6.1667,10.7500,19.2917,5.4362,7.6051,13.0974,23.8155
+g3,0,4.6625,6.5000,11.4771,21.2042,5.3607,7.7787,13.7696,25.4658
+g3,1,4.7812,6.2354,10.7542,19.1792,5.5266,7.7286,13.1319,23.6252
+"""
+
+
+def golden_records(data_dir):
+    """Three two-lead random-walk records at 360 Hz, 480 samples each."""
+    rng = np.random.default_rng(11)
+    data_dir.mkdir()
+    for name in ("g1", "g2", "g3"):
+        chans = [np.cumsum(rng.integers(-9, 10, size=480)).clip(-2048, 2047).tolist() for _ in range(2)]
+        write_record(data_dir, name, chans, rate=360)
+    return data_dir
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, csv_name, csv_text",
+    [
+        (["bench", "--out-dir", "<out>"], GOLDEN_BENCH, "bcr_report.csv", GOLDEN_BENCH_CSV),
+        (["bench", "--m", "4,16", "--orig-bits", "11", "--resync-samples", "500"], GOLDEN_BENCH_FLAGS, None, None),
+        (["predict-eval", "--out-dir", "<out>"], GOLDEN_PREDICT, "predictor_report.csv", GOLDEN_PREDICT_CSV),
+    ],
+)
+def test_report_output_is_pinned(tmp_path, capsys, argv, stdout, csv_name, csv_text):
+    data = golden_records(tmp_path / "data")
+    out_dir = tmp_path / "out"
+    argv = [str(out_dir) if a == "<out>" else a for a in argv]
+    assert cli.main([*argv, "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.replace(str(out_dir), "<out>") == stdout
+    assert captured.err == ""
+    if csv_name:
+        # csv.writer ends rows with \r\n
+        assert (out_dir / csv_name).read_bytes() == csv_text.replace("\n", "\r\n").encode()
+    else:
+        assert not out_dir.exists()
