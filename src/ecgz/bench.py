@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,31 @@ def discover_records(directory: str | Path) -> list[Path]:
     if not d.is_dir():
         return []
     return sorted(p.with_suffix("") for p in d.glob("*.hea"))
+
+
+def _load_records(
+    record_paths: Iterable[str | Path], missing: list[str]
+) -> Iterator[tuple[ingest.WfdbRecord, list[np.ndarray]]]:
+    """(record, channels) for each readable record; the others' errors go to missing."""
+    for path in record_paths:
+        try:
+            yield ingest.load_record(path)
+        except (OSError, WfdbParseError) as exc:
+            missing.append(f"{path}: {exc}")
+
+
+def _format_table(head: Sequence[object], body: Iterable[Sequence[object]], foot: Sequence[object]) -> str:
+    """Header, body and footer in right-aligned columns at least 12 wide, floats to 3 places."""
+    lines = ([f"{c:>12.3f}" if isinstance(c, float) else f"{c!s:>12}" for c in cells] for cells in [head, *body, foot])
+    return "\n".join("  ".join(cells) for cells in lines)
+
+
+def _write_csv(path: str | Path, head: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """A header line and the rows, floats to 4 places."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(head)
+        w.writerows([f"{c:.4f}" if isinstance(c, float) else c for c in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -117,46 +142,26 @@ class DatabaseReport:
         return self.average_selective_bcr(self.best_m())
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            head = ["record", "channel", "samples", "frames", "bits", "bcr", "ideal_bcr"]
-            head += [f"selective_bcr_m{m}" for m in self.m_values]
-            w.writerow(head)
-            for r in self.rows:
-                w.writerow(
-                    [r.record, r.channel, r.n_samples, r.frame_count, r.compressed_bits]
-                    + [f"{r.bcr:.4f}", f"{r.ideal_bcr:.4f}"]
-                    + [f"{r.selective_bcr[m]:.4f}" for m in self.m_values]
-                )
+        head = ["record", "channel", "samples", "frames", "bits", "bcr", "ideal_bcr"]
+        head += [f"selective_bcr_m{m}" for m in self.m_values]
+        rows = (
+            [r.record, r.channel, r.n_samples, r.frame_count, r.compressed_bits, r.bcr, r.ideal_bcr]
+            + [r.selective_bcr[m] for m in self.m_values]
+            for r in self.rows
+        )
+        _write_csv(path, head, rows)
 
     def format_table(self) -> str:
-        rows = self.record_rows()
+        rows = sorted(self.record_rows(), key=lambda r: r.record)
         if not rows:
             return "no records evaluated"
-        lines = [_format_row(["record", "samples", "packer", "selective(best m)", "ideal"])]
         best = self.best_m()
-        for r in sorted(rows, key=lambda r: r.record):
-            lines.append(
-                _format_row(
-                    [r.record, r.n_samples, f"{r.bcr:.3f}", f"{r.selective_bcr[best]:.3f}", f"{r.ideal_bcr:.3f}"]
-                )
-            )
-        lines.append(
-            _format_row(
-                [
-                    "average",
-                    sum(r.n_samples for r in rows),
-                    f"{self.average_bcr():.3f}",
-                    f"{self.best_selective_bcr():.3f}",
-                    f"{self.average_ideal_bcr():.3f}",
-                ]
-            )
+        return _format_table(
+            ["record", "samples", "packer", "selective(best m)", "ideal"],
+            ([r.record, r.n_samples, r.bcr, r.selective_bcr[best], r.ideal_bcr] for r in rows),
+            ["average", sum(r.n_samples for r in rows), self.average_bcr()]
+            + [self.best_selective_bcr(), self.average_ideal_bcr()],
         )
-        return "\n".join(lines)
-
-
-def _format_row(cells: Sequence[object]) -> str:
-    return "  ".join(f"{str(c):>12}" for c in cells)
 
 
 def evaluate_channels(
@@ -225,19 +230,9 @@ def run_database_eval(
     cfg = config or encoder.EncoderConfig()
     rows: list[ChannelRow] = []
     missing: list[str] = []
-    for path in record_paths:
-        try:
-            record, channels = ingest.load_record(path)
-        except (OSError, WfdbParseError) as exc:
-            missing.append(f"{path}: {exc}")
-            continue
-        ch_cfg = encoder.EncoderConfig(
-            resync_interval_samples=cfg.resync_interval_samples,
-            channel_count=min(len(channels), encoder.MAX_CHANNELS),
-            order=cfg.order,
-            resync_e_frames=cfg.resync_e_frames,
-        )
+    for record, channels in _load_records(record_paths, missing):
         use = channels[: encoder.MAX_CHANNELS]
+        ch_cfg = replace(cfg, channel_count=len(use))
         rows.extend(evaluate_channels(record.name, use, ch_cfg, orig_bits, m_values))
     return DatabaseReport(rows, missing, orig_bits, tuple(m_values), cfg)
 
@@ -280,68 +275,38 @@ class PredictorReport:
     def argmin_rmspe_order(self, channel: int | None = 0) -> int:
         return min(self.orders, key=lambda o: self.average_rmspe(o, channel))
 
+    def _cells(self, r: PredictorRow) -> list[object]:
+        return [r.record, r.channel] + [v[o] for v in (r.mape, r.rmspe) for o in self.orders]
+
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            head = ["record", "channel"]
-            head += [f"mape_{o}" for o in self.orders] + [f"rmspe_{o}" for o in self.orders]
-            w.writerow(head)
-            for r in self.rows:
-                w.writerow(
-                    [r.record, r.channel]
-                    + [f"{r.mape[o]:.4f}" for o in self.orders]
-                    + [f"{r.rmspe[o]:.4f}" for o in self.orders]
-                )
+        head = ["record", "channel"] + [f"{k}_{o}" for k in ("mape", "rmspe") for o in self.orders]
+        _write_csv(path, head, map(self._cells, self.rows))
 
     def format_table(self) -> str:
         if not self.rows:
             return "no records evaluated"
-        lines = [
-            _format_row(
-                ["record", "ch"]
-                + [f"mape o{o}" for o in self.orders]
-                + [f"rmspe o{o}" for o in self.orders]
-            )
-        ]
-        for r in sorted(self.rows, key=lambda r: (r.record, r.channel)):
-            lines.append(
-                _format_row(
-                    [r.record, r.channel]
-                    + [f"{r.mape[o]:.3f}" for o in self.orders]
-                    + [f"{r.rmspe[o]:.3f}" for o in self.orders]
-                )
-            )
-        lines.append(
-            _format_row(
-                ["average(ch0)", ""]
-                + [f"{self.average_mape(o):.3f}" for o in self.orders]
-                + [f"{self.average_rmspe(o):.3f}" for o in self.orders]
-            )
+        return _format_table(
+            ["record", "ch"] + [f"{k} o{o}" for k in ("mape", "rmspe") for o in self.orders],
+            map(self._cells, sorted(self.rows, key=lambda r: (r.record, r.channel))),
+            ["average(ch0)", ""] + [avg(o) for avg in (self.average_mape, self.average_rmspe) for o in self.orders],
         )
-        return "\n".join(lines)
 
 
 def predictor_comparison(
     record_paths: Sequence[str | Path], orders: Sequence[int] = (1, 2, 3, 4)
 ) -> PredictorReport:
     """Score every record and channel under each predictor order."""
-    rows: list[PredictorRow] = []
     missing: list[str] = []
-    for path in record_paths:
-        try:
-            record, channels = ingest.load_record(path)
-        except (OSError, WfdbParseError) as exc:
-            missing.append(f"{path}: {exc}")
-            continue
-        for ch, samples in enumerate(channels):
-            rows.append(
-                PredictorRow(
-                    record=record.name,
-                    channel=ch,
-                    mape={o: predictor.mape(samples, o) for o in orders},
-                    rmspe={o: predictor.rmspe(samples, o) for o in orders},
-                )
-            )
+    rows = [
+        PredictorRow(
+            record=record.name,
+            channel=ch,
+            mape={o: predictor.mape(samples, o) for o in orders},
+            rmspe={o: predictor.rmspe(samples, o) for o in orders},
+        )
+        for record, channels in _load_records(record_paths, missing)
+        for ch, samples in enumerate(channels)
+    ]
     return PredictorReport(rows, missing, tuple(orders))
 
 
@@ -500,17 +465,6 @@ class LossHarness:
         )
 
 
-def loss_simulation(
-    channels: Sequence[Sequence[int]],
-    config: encoder.EncoderConfig | None = None,
-    pattern: LossPattern = LossPattern(),
-    seed: int = 0,
-    span_bound: int | None = None,
-) -> LossReport:
-    """Single encode-drop-decode-audit run; see LossHarness.run."""
-    return LossHarness(channels, config).run(pattern, seed=seed, span_bound=span_bound)
-
-
 def loss_sweep(
     channels: Sequence[Sequence[int]],
     config: encoder.EncoderConfig | None = None,
@@ -524,15 +478,8 @@ def loss_sweep(
 
 
 def _drop_units(wire: bytes, drops: set[int]) -> bytes:
-    if not drops:
-        return wire
-    parts = []
-    prev = 0
-    for i in sorted(drops):
-        parts.append(wire[3 * prev : 3 * i])
-        prev = i + 1
-    parts.append(wire[3 * prev :])
-    return b"".join(parts)
+    units = np.frombuffer(wire, dtype=np.uint8).reshape(-1, 3)
+    return np.delete(units, list(drops), axis=0).tobytes()
 
 
 def _audit_channel(

@@ -9,7 +9,6 @@ and CSV reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, container, decoder, encoder, ingest
-from .errors import EcgzError
+from .errors import EcgzError, WfdbParseError
 from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
 DOWNLOAD_HELP = """\
@@ -222,52 +221,61 @@ def _select_records(args) -> list[Path]:
     return paths
 
 
-def cmd_bench(args) -> int:
+def _run_report(args, evaluate, summarize, csv_name: str) -> int:
+    """Evaluate the selected records; print the table, skipped records and summary; write the CSV."""
     paths = _select_records(args)
     if not paths:
         print(DOWNLOAD_HELP, file=sys.stderr)
         print("no records evaluated")
         return 0
-    rate = ingest.parse_wfdb_header((paths[0].with_suffix(".hea")).read_text()).sampling_frequency
-    cfg = encoder.EncoderConfig(resync_interval_samples=_resync_samples(args, rate), order=args.order)
-    m_values = tuple(int(v) for v in args.m.split(","))
-    report = bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values)
+    report = evaluate(paths)
     print(report.format_table())
     for line in report.missing:
         print(f"skipped: {line}", file=sys.stderr)
     if report.rows:
-        print(
-            f"\npacker avg {report.average_bcr():.3f} (max {report.max_bcr():.3f})  "
+        print("\n" + summarize(report))
+    if args.out_dir:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        report.to_csv(args.out_dir / csv_name)
+        print(f"wrote {args.out_dir / csv_name}")
+    return 0
+
+
+def _first_rate(paths: list[Path]) -> float:
+    """The sample rate in the first record header that parses; 0 if none does."""
+    for path in paths:
+        try:
+            return ingest.parse_wfdb_header(path.with_suffix(".hea").read_text()).sampling_frequency
+        except (OSError, WfdbParseError):
+            pass
+    return 0.0
+
+
+def cmd_bench(args) -> int:
+    def evaluate(paths):
+        resync = _resync_samples(args, _first_rate(paths))
+        cfg = encoder.EncoderConfig(resync_interval_samples=resync, order=args.order)
+        m_values = tuple(int(v) for v in args.m.split(","))
+        return bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values)
+
+    def summarize(report):
+        return (
+            f"packer avg {report.average_bcr():.3f} (max {report.max_bcr():.3f})  "
             f"selective avg {report.best_selective_bcr():.3f} at m={report.best_m()}  "
             f"ideal avg {report.average_ideal_bcr():.3f}"
         )
-    if args.out_dir:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        report.to_csv(args.out_dir / "bcr_report.csv")
-        print(f"wrote {args.out_dir / 'bcr_report.csv'}")
-    return 0
+
+    return _run_report(args, evaluate, summarize, "bcr_report.csv")
 
 
 def cmd_predict_eval(args) -> int:
-    paths = _select_records(args)
-    if not paths:
-        print(DOWNLOAD_HELP, file=sys.stderr)
-        print("no records evaluated")
-        return 0
-    report = bench.predictor_comparison(paths)
-    print(report.format_table())
-    for line in report.missing:
-        print(f"skipped: {line}", file=sys.stderr)
-    if report.rows:
-        print(
-            f"\nlowest average error at order {report.argmin_mape_order()} (mape), "
+    def summarize(report):
+        return (
+            f"lowest average error at order {report.argmin_mape_order()} (mape), "
             f"order {report.argmin_rmspe_order()} (rmspe)"
         )
-    if args.out_dir:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
-        report.to_csv(args.out_dir / "predictor_report.csv")
-        print(f"wrote {args.out_dir / 'predictor_report.csv'}")
-    return 0
+
+    return _run_report(args, bench.predictor_comparison, summarize, "predictor_report.csv")
 
 
 def cmd_simulate_loss(args) -> int:
@@ -275,12 +283,9 @@ def cmd_simulate_loss(args) -> int:
         n = int(round(args.duration * args.rate))
         channels = [bench.synthetic_ecg(n, args.rate, seed=args.seed)]
         rate = args.rate
-    elif args.record.endswith(".csv"):
-        channels = ingest._read_csv_arrays(Path(args.record).read_text())
-        rate = args.rate
     else:
-        _, channels = ingest.load_record(args.record)
-        rate = ingest.parse_wfdb_header(Path(args.record).with_suffix(".hea").read_text()).sampling_frequency
+        path = Path(args.record)
+        channels, rate = _load_input(path, _detect_format(path, None), None, args.rate)
     interval = _resync_samples(args, rate)
     cfg = encoder.EncoderConfig(
         resync_interval_samples=interval,
@@ -310,13 +315,12 @@ def cmd_simulate_loss(args) -> int:
     if args.runs > 1:
         print(f"worst span over {args.runs} runs: {worst}" + (f" (bound {bound})" if bound else ""))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seed", "dropped_units", "corrupted", "total", "max_span", "exact"])
-            for r in rows:
-                w.writerow(
-                    [r.seed, len(r.dropped_units), r.corrupted_samples, r.total_samples, r.max_span, r.known_samples_exact]
-                )
+        head = ["seed", "dropped_units", "corrupted", "total", "max_span", "exact"]
+        cells = (
+            [r.seed, len(r.dropped_units), r.corrupted_samples, r.total_samples, r.max_span, r.known_samples_exact]
+            for r in rows
+        )
+        bench._write_csv(args.out, head, cells)
         print(f"wrote {args.out}")
     ok = all(r.known_samples_exact and r.bound_ok for r in rows)
     return 0 if ok else 1

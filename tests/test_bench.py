@@ -159,7 +159,7 @@ def test_loss_pattern_validation():
 
 def test_no_loss_run_is_clean():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
-    report = bench.loss_simulation([synthetic_channel()], cfg, bench.LossPattern("none"))
+    report = bench.LossHarness([synthetic_channel()], cfg).run(bench.LossPattern("none"))
     assert report.dropped_units == []
     assert report.corrupted_samples == 0
     assert report.known_samples_exact
@@ -169,8 +169,8 @@ def test_no_loss_run_is_clean():
 
 def test_single_loss_report_shape():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
-    report = bench.loss_simulation(
-        [synthetic_channel()], cfg, bench.LossPattern("single"), seed=5, span_bound=726
+    report = bench.LossHarness([synthetic_channel()], cfg).run(
+        bench.LossPattern("single"), seed=5, span_bound=726
     )
     assert len(report.dropped_units) == 1
     assert report.known_samples_exact
@@ -193,7 +193,7 @@ def test_same_seed_reproduces_the_run():
 def test_fixed_unit_index_drops_that_unit():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
     pattern = bench.LossPattern("single", unit_index=11)
-    report = bench.loss_simulation([synthetic_channel()], cfg, pattern)
+    report = bench.LossHarness([synthetic_channel()], cfg).run(pattern)
     assert report.dropped_units == [11]
 
 
@@ -209,7 +209,7 @@ def test_explicit_drop_set_overrides_the_pattern():
 def test_burst_loss_spans_stay_contained():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
     pattern = bench.LossPattern("burst", burst_length=3)
-    report = bench.loss_simulation([synthetic_channel()], cfg, pattern, seed=2)
+    report = bench.LossHarness([synthetic_channel()], cfg).run(pattern, seed=2)
     assert len(report.dropped_units) == 3
     assert report.known_samples_exact
     # a short burst still resolves by the second resync pair at the latest

@@ -183,6 +183,31 @@ def test_simulate_loss_none_mode_is_lossless(capsys):
     assert "dropped 0 unit(s)" in capsys.readouterr().out
 
 
+def test_simulate_loss_detects_csv_case_insensitively(tmp_path, capsys):
+    src, _ = walk_csv(tmp_path, n=900, nch=2)
+    argv = ["--loss-mode", "single", "--resync-samples", "200", "--seed", "4"]
+    assert cli.main(["simulate-loss", str(src), *argv]) == 0
+    lower = capsys.readouterr().out
+    assert cli.main(["simulate-loss", str(src.rename(tmp_path / "REC.CSV")), *argv]) == 0
+    assert capsys.readouterr().out == lower
+
+
+def test_bench_skips_a_malformed_header_wherever_it_sorts(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    for name in ("b1", "b2"):
+        chans = [np.cumsum(rng.integers(-4, 5, size=1500)).clip(-2000, 2000).tolist()]
+        write_record(tmp_path, name, chans, rate=250)
+    assert cli.main(["bench", "--data", str(tmp_path)]) == 0
+    clean = capsys.readouterr().out
+    for bad in ("aa", "zz"):
+        (tmp_path / f"{bad}.hea").write_text(f"{bad} 2 abc 3600\n")
+        assert cli.main(["bench", "--data", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == clean  # the rate, and so the resync spacing, comes from b1
+        assert captured.err == f"skipped: {tmp_path / bad}: line 1: could not convert string to float: 'abc'\n"
+        (tmp_path / f"{bad}.hea").unlink()
+
+
 def _packed_channels(tmp: Path, lengths, seed: int) -> tuple[Path, list[list[int]]]:
     """A container of seeded channels of the given lengths, and the channels."""
     rng = np.random.default_rng(seed)
