@@ -220,12 +220,14 @@ def run_database_eval(
     config: encoder.EncoderConfig | None = None,
     orig_bits: int = ORIG_BITS_DEFAULT,
     m_values: Sequence[int] = DEFAULT_M_VALUES,
+    resync_seconds: float | None = None,
 ) -> DatabaseReport:
     """Compress every record and tabulate packer and estimator ratios.
 
     Records that cannot be read are listed in .missing rather than
-    aborting the run. The resync interval comes from the config; pass
-    one scaled to the records' sampling rate.
+    aborting the run. The resync interval comes from the config, unless
+    resync_seconds is given: then each record resyncs that often at its
+    own sampling rate.
     """
     cfg = config or encoder.EncoderConfig()
     rows: list[ChannelRow] = []
@@ -233,6 +235,8 @@ def run_database_eval(
     for record, channels in _load_records(record_paths, missing):
         use = channels[: encoder.MAX_CHANNELS]
         ch_cfg = replace(cfg, channel_count=len(use))
+        if resync_seconds is not None:
+            ch_cfg = replace(ch_cfg, resync_interval_samples=int(round(resync_seconds * record.sampling_frequency)))
         rows.extend(evaluate_channels(record.name, use, ch_cfg, orig_bits, m_values))
     return DatabaseReport(rows, missing, orig_bits, tuple(m_values), cfg)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, container, decoder, encoder, ingest
-from .errors import EcgzError, WfdbParseError
+from .errors import EcgzError
 from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
 DOWNLOAD_HELP = """\
@@ -241,22 +241,13 @@ def _run_report(args, evaluate, summarize, csv_name: str) -> int:
     return 0
 
 
-def _first_rate(paths: list[Path]) -> float:
-    """The sample rate in the first record header that parses; 0 if none does."""
-    for path in paths:
-        try:
-            return ingest.parse_wfdb_header(path.with_suffix(".hea").read_text()).sampling_frequency
-        except (OSError, WfdbParseError):
-            pass
-    return 0.0
-
-
 def cmd_bench(args) -> int:
     def evaluate(paths):
-        resync = _resync_samples(args, _first_rate(paths))
-        cfg = encoder.EncoderConfig(resync_interval_samples=resync, order=args.order)
+        fixed = _resync_samples(args, 0.0)  # checks both flags; without --resync-samples, each record's own rate
+        seconds = args.resync_seconds if args.resync_samples is None else None
+        cfg = encoder.EncoderConfig(resync_interval_samples=fixed, order=args.order)
         m_values = tuple(int(v) for v in args.m.split(","))
-        return bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values)
+        return bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values, resync_seconds=seconds)
 
     def summarize(report):
         return (

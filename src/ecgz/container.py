@@ -37,6 +37,7 @@ from .errors import (
     CountMismatchError,
     TruncationError,
 )
+from .predictor import int_array
 
 MAGIC = b"ECGZ"
 VERSION = 1
@@ -72,25 +73,11 @@ def _is_uint(value, top: int = 0xFFFF) -> bool:
     return isinstance(value, (int, np.integer)) and 0 <= value <= top
 
 
-def _word_array(frames: Sequence[int]) -> np.ndarray:
-    """frames as an integer array; ValueError for the first word that is not a 16-bit value."""
-    words = np.asarray(frames)
-    if words.dtype.kind in "biu":
-        bad = np.flatnonzero((words < 0) | (words > 0xFFFF))
-        if bad.size:
-            raise ValueError(f"frame word {int(words[bad[0]])} is not a 16-bit value")
-        return words
-    for word in frames:  # floats, or ints too wide for numpy
-        if not _is_uint(word):
-            raise ValueError(f"frame word {word!r} is not a 16-bit value")
-    return words
-
-
 def write_ecgz(meta: RecordMeta, channel_frames: Sequence[Sequence[int]]) -> bytes:
     """Container bytes; each channel's frames may be a list or an integer array."""
     if len(channel_frames) != meta.channel_count:
         raise ValueError(f"meta declares {meta.channel_count} channels, got {len(channel_frames)}")
-    words = [_word_array(frames) for frames in channel_frames]
+    words = [int_array(frames, 0, 0xFFFF, "frame word {!r} is not a 16-bit value") for frames in channel_frames]
     head = bytearray(MAGIC)
     head += _HEAD.pack(
         VERSION,

@@ -1,10 +1,17 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
 Both decoders run one array core. It places every field of every frame
-at once, then rebuilds each run of residual-coded samples from the L
-outputs before it: an order-L slope predictor is an L-th difference, so
-L cumulative sums undo it. Type E fields are taken as raw samples, and
-the history starts as L zeros, exactly as in the encoder.
+at once. Type E fields are raw samples, the other fields residuals, and
+the history starts as L zeros, exactly as in the encoder. An order-L
+slope predictor is an L-th difference, so on a run of residual-coded
+samples the output is the L-fold running sum of the residuals plus the
+degree L - 1 polynomial through the L outputs before the run. Runs
+fewer than L raw samples apart chain, which makes the last L outputs of
+the runs an affine recurrence over runs; one doubling scan solves it for
+every run at once. With those in place, the L-th differences of the
+output at every raw sample and L cumulative sums rebuild the stream, in
+wrapping int64 arithmetic that is exact up to the first out-of-range
+sample.
 
 decode_channel is the lossless path: the stream must account for
 exactly the declared sample count, and any defect raises.
@@ -28,6 +35,9 @@ from . import predictor
 from .encoder import FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E, FRAME_TYPES, FrameType
 from .errors import CorruptStreamError, ReservedHeaderError, TruncationError
 
+_WORD_CHECK = "frame word {!r} is not a 16-bit value"
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+
 
 class DecodedFrame(NamedTuple):
     ftype: FrameType
@@ -37,7 +47,7 @@ class DecodedFrame(NamedTuple):
 def parse_header(word: int) -> FrameType:
     """Classify a 16-bit frame word by its prefix-free header."""
     if not 0 <= word <= 0xFFFF:
-        raise ValueError(f"frame word {word!r} is not a 16-bit value")
+        raise ValueError(_WORD_CHECK.format(word))
     if word & 0x8000:
         return FRAME_A
     if word & 0x4000:
@@ -85,6 +95,12 @@ def _rebuild(
     zeros of initial history count as such a run. Unknown samples hold
     junk. Raises CorruptStreamError for the first known sample outside
     the 12-bit range.
+
+    The rebuild runs in wrapping int64 arithmetic, so every output is
+    exact mod 2**64. Each sample is L bounded predictor terms plus a
+    field away from the L samples before it, so up to and including the
+    first out-of-range sample every true value fits int64 and comes out
+    exact, and the error names that value. Samples after it may wrap.
     """
     L = len(predictor.coefficients(order))
     words, counts, lost = words[:stop], counts[:stop], lost[:stop]
@@ -97,6 +113,8 @@ def _rebuild(
     for ft in FRAME_TYPES.values():
         sel = counts == ft.field_count
         w, q = words[sel], starts[sel]
+        if not q.size:
+            continue
         for j in range(ft.field_count):
             buf[q + j] = _field(w, ft, j)
         is_raw[q] = ft.carries_original
@@ -118,32 +136,116 @@ def _rebuild(
         run_start = np.maximum(np.maximum.accumulate(np.where(raw, 0, pos + 1)), epoch)
         synced_at = np.maximum.accumulate(np.where(pos - run_start >= L - 1, pos, -1))
         known[f:] = raw | (synced_at >= epoch)
-        raw |= ~known[f:]  # the loop below leaves unknown samples alone too
 
-    # Each maximal run of known residual samples follows L known outputs.
-    # Put their L-th differences (zeros before them) in their place: L
-    # cumulative sums then restore them and carry on through the run.
-    # While every earlier sample is in range, every partial sum is a
-    # bounded difference, so the first out-of-range sample comes out
-    # exact even where int64 wraps further on.
-    lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
-    accumulate = np.add.accumulate
+    # Rebuild every maximal run of residual samples from the L outputs
+    # before it: the last L samples of all runs at once (_run_exits), then
+    # the L-th difference of the output at every raw position, beside the
+    # residuals, which are L-th differences already. L cumulative sums
+    # restore every sample, exact mod 2**64. Runs after an erasure come out
+    # as if nothing were lost, which is junk until L raw samples resync;
+    # no known sample depends on them.
     edges = np.diff(is_raw.view(np.int8))
-    for s, t in zip(np.flatnonzero(edges == -1).tolist(), np.flatnonzero(edges == 1).tolist()):
-        span = buf[s + 1 - L : t + 1]
-        d = span[:L].tolist()
-        if min(d) < lo or max(d) > hi:
-            break  # an earlier sample is already out of range
+    firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
+    if firsts.size:
+        exits = (lasts[:, None] - L + 1 + np.arange(L)).ravel()
+        values = _run_exits(buf, firsts, lasts, L).ravel()
+        saved = buf[exits]
+        buf[exits] = values  # the L samples before a raw one are raw or in the last run's exit window
+        raw = np.flatnonzero(is_raw[L:n]) + L
+        delta = buf[raw]
+        for k, a in enumerate(predictor.coefficients(order), start=1):
+            delta -= a * buf[raw - k]
+        buf[exits] = saved
+        buf[raw] = delta
         for _ in range(L):
-            d = [d[0]] + [b - a for a, b in zip(d, d[1:])]
-        span[:L] = d
-        for _ in range(L):
-            accumulate(span, out=span)
+            np.cumsum(buf, out=buf)
+    lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
     out, known = buf[L:], known[L:]
     wrong = _first(known & ((out < lo) | (out > hi)))
     if wrong < out.size:
         raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
     return out, known
+
+
+def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
+    """The samples in each run's exit window, as an (R, L) int64 array exact mod 2**64.
+
+    Run r holds residuals at firsts[r]..lasts[r]; its entry window is the
+    L samples before it, its exit window its last L samples. Let F be the
+    L-fold running sum of buf: on a run, x - F is the polynomial of
+    degree L - 1 through the entry window, so exit = F + M (entry - F)
+    for the run's Lagrange map M. An entry sample is raw, or it is in the
+    previous run's exit window when fewer than L raw samples separate
+    the runs. That makes the exits an affine recurrence over runs,
+    exit_r = P_r exit_(r-1) + q_r, solved by Hillis-Steele doubling over
+    batched matrix products (numpy's integer matmul wraps like the rest).
+    P_r is 0 after a gap of L raw samples, and the scan stops once every
+    composed P is. Composed maps also lose factors of 2, so along the
+    chains of real streams they reach 0 mod 2**64 within a few hundred runs.
+    """
+    R, win = firsts.size, np.arange(L)
+    entry = firsts[:, None] - L + win
+    # F at the window positions. The windows' first samples, entry then exit
+    # window of each run in turn, strictly increase: one reduceat over the
+    # (L-1)-fold running sum gives F just before each, a short cumsum the rest.
+    G = buf
+    for k in range(L - 1):
+        G = np.cumsum(G, out=G if k else None)
+    starts = np.stack([firsts - L, lasts - L + 1], axis=1).ravel()
+    before = np.cumsum(np.concatenate([[G[: starts[0]].sum()], np.add.reduceat(G[: starts[-1]], starts[:-1])]))
+    F = (before[:, None] + np.cumsum(G[starts[:, None] + win], axis=1)).reshape(R, 2, L)
+    M = _lagrange_maps(lasts - firsts + 1, L)
+    gaps = firsts - np.concatenate([[-L - 1], lasts[:-1]]) - 1  # raw samples before each run
+    # entry sample l is exit sample l + gap of the run before when l + gap < L, else raw
+    shift = win == win[:, None] + gaps[:, None, None]
+    raw_part = np.where(win >= L - gaps[:, None], buf[entry], 0)
+    # (L+1)-square affine maps from the exit window before each run to its own
+    T = np.zeros((R, L + 1, L + 1), dtype=np.int64)
+    T[:, :L, :L] = M @ shift
+    T[:, :L, L] = F[:, 1] + (M @ (raw_part - F[:, 0])[:, :, None])[:, :, 0]
+    T[:, L, L] = 1
+    # Hillis-Steele: after the step with stride d, T_r maps exit r - 2d to exit r.
+    # Where its linear part is 0, its last column is exit r and the row is done.
+    active, d = np.flatnonzero(T[:, :L, :L].any(axis=(1, 2))), 1
+    while active.size:
+        T[active] = U = T[active] @ T[active - d]
+        active, d = active[U[:, :L, :L].any(axis=(1, 2))], 2 * d
+    return T[:, :L, L]
+
+
+def _lagrange_maps(lengths: np.ndarray, L: int) -> np.ndarray:
+    """(R, L, L) maps from the entry to the exit window of runs of these lengths, mod 2**64.
+
+    Exit sample j lies u = length + j past the entry window's start. Where
+    u < L it is entry sample u; otherwise row j holds the Lagrange weights
+    beta_l(u - L) = (-1)**(L-1-l) C(u, l) C(u-l-1, L-1-l) of the degree
+    L - 1 polynomial through the entry window.
+    """
+    u = lengths[:, None] + np.arange(L)
+    v = np.maximum(u, L)
+    M = np.empty(u.shape + (L,), dtype=np.int64)
+    for l in range(L):
+        M[:, :, l] = (-1) ** (L - 1 - l) * _binomial(v, l) * _binomial(v - l - 1, L - 1 - l)
+    short = u < L
+    M[short] = u[short][:, None] == np.arange(L)
+    return M
+
+
+_INV3 = -0x5555555555555555  # 3 * _INV3 == 1 mod 2**64
+
+
+def _binomial(v: np.ndarray, k: int) -> np.ndarray:
+    """C(v, k) mod 2**64 for k <= 3 and v >= k, as wrapping int64.
+
+    The factor 2 of k! is divided out of an even term before the terms
+    are multiplied, so the wrap loses nothing; the odd factor 3 is divided
+    out after, as a product with its inverse mod 2**64.
+    """
+    if k < 2:
+        return v if k else np.ones_like(v)
+    odd = v & 1
+    c = ((v - odd) >> 1) * (v - 1 + odd)  # the even one of v, v - 1 halved, times the other
+    return c if k == 2 else c * (v - 2) * _INV3
 
 
 def _first(mask: np.ndarray) -> int:
@@ -164,7 +266,7 @@ def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -
 
 def _decode_words(frames: Sequence[int], expected_count: int, order: int) -> np.ndarray:
     """decode_channel returning an int64 array; frames may be a list or an integer array."""
-    words = np.asarray(frames, dtype=np.int64)
+    words = predictor.int_array(frames, *_INT64, _WORD_CHECK)  # the 16-bit range is checked in stream order
     counts = _sample_counts(words)
     bad_word, surplus = _first(counts == 0), _first(np.cumsum(counts) > expected_count)
     # frames before the first defect decode normally
@@ -200,9 +302,11 @@ def decode_resilient(
     only when no frame was erased.
     """
     out, known, _ = _decode_erasures(frames, expected_count, order)
-    samples = out.astype(object)
-    samples[~known] = None
-    return samples.tolist(), _runs(~known)
+    spans = _runs(~known)
+    samples = out.tolist()
+    for start, stop in spans:
+        samples[start:stop] = [None] * (stop - start)
+    return samples, spans
 
 
 def _decode_erasures(
@@ -211,7 +315,8 @@ def _decode_erasures(
     """decode_resilient as arrays: (samples, known) over the received frames' samples, and lost per frame."""
     received = np.array(list(frames), dtype=object)
     lost = np.equal(received, None)
-    words = np.where(lost, 0, received).astype(np.int64)
+    received[lost] = 0
+    words = predictor.int_array(received, *_INT64, _WORD_CHECK)
     counts = np.where(lost, 0, _sample_counts(words))
     bad_word = _first((counts == 0) & ~lost)
     out, known = _rebuild(words, counts, lost, bad_word, order)

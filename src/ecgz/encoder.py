@@ -394,11 +394,11 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     pointer doubling every frame start (_frame_walk). The sizes between
     starts name the types, and each type is packed in one numpy pass.
     """
-    err = predictor.residuals(samples, cfg.order)  # validates sample range
+    x = predictor.int_array(samples, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK)
+    err = predictor.residuals(x, cfg.order)
     n = err.size
     starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
     sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
-    x = np.asarray(samples, dtype=np.int64)
     words = np.zeros(starts.size, dtype=np.int64)
     for count, (word, width, mask) in _PACKING.items():  # one pass per type
         sel = sizes == count
@@ -435,15 +435,14 @@ def encode_multichannel(
     is flushed, in channel order.
     """
     cfg = config or EncoderConfig()
-    pairs = np.array(list(stream), dtype=np.int64).reshape(-1, 2)
-    chans = pairs[:, 0]
-    bad = np.flatnonzero((chans < 0) | (chans >= cfg.channel_count))
-    if bad.size:
-        raise ValueError(f"channel id {chans[bad[0]]} outside 0..{cfg.channel_count - 1}")
+    pairs = np.array(list(stream), dtype=object).reshape(-1, 2)
+    top = cfg.channel_count - 1
+    chans = predictor.int_array(pairs[:, 0], 0, top, f"channel id {{!r}} outside 0..{top}")
+    xs = predictor.int_array(pairs[:, 1], SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK)
     frames, positions = [], []
     for ch in range(cfg.channel_count):
         index = np.flatnonzero(chans == ch)  # stream index of each of the channel's samples
-        words, pos = _encode_arrays(pairs[index, 1], cfg)
+        words, pos = _encode_arrays(xs[index], cfg)
         frames.append(words.tolist())
         # the frame from sample qs goes out with sample qs + 5, the flush at the end of the stream
         positions.append(np.append(index, len(pairs))[pos])

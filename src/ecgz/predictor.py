@@ -16,6 +16,7 @@ first sample. All arithmetic is exact integer math.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +53,29 @@ def residual_bits(order: int) -> int:
     return SAMPLE_BITS + len(coefficients(order))
 
 
+def int_array(values, lo: int, hi: int, message: str) -> np.ndarray:
+    """values as an int64 array; ValueError for the first that is not an integer in lo..hi.
+
+    message is formatted with the offending value. An integer array costs
+    a min and a max. Anything else (floats, ints too wide for int64, a
+    mix of objects) converts exactly, as array("q") does, or is searched
+    for the first offender.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        try:  # a float raises TypeError, an int beyond int64 OverflowError
+            arr = np.frombuffer(array("q", arr.ravel().tolist()), dtype=np.int64).reshape(arr.shape)
+        except (TypeError, OverflowError):
+            arr = np.asarray(values, dtype=object)  # the values as given, not as numpy upcast them
+    if arr.dtype == object or arr.size and (arr.min() < lo or arr.max() > hi):
+        bad = (v for v in arr.ravel().tolist() if not (isinstance(v, (int, np.integer)) and lo <= v <= hi))
+        raise ValueError(message.format(next(bad)))
+    return arr.astype(np.int64, copy=False)
+
+
+SAMPLE_CHECK = f"sample {{!r}} is not an integer in {SAMPLE_MIN}..{SAMPLE_MAX}"
+
+
 def zero_state(order: int) -> list[int]:
     """Fresh history (most recent first), predetermined to zeros."""
     return [0] * len(coefficients(order))
@@ -65,12 +89,9 @@ def residuals(samples: Sequence[int], order: int) -> np.ndarray:
     overflow.
     """
     coef = coefficients(order)
-    x = np.asarray(samples, dtype=np.int64)
+    x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    if x.size:
-        if x.min() < SAMPLE_MIN or x.max() > SAMPLE_MAX:
-            raise ValueError(f"samples outside {SAMPLE_MIN}..{SAMPLE_MAX}")
     L = len(coef)
     padded = np.concatenate([np.zeros(L, dtype=np.int64), x])
     predicted = np.zeros(x.size, dtype=np.int64)

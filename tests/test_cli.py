@@ -203,9 +203,22 @@ def test_bench_skips_a_malformed_header_wherever_it_sorts(tmp_path, capsys):
         (tmp_path / f"{bad}.hea").write_text(f"{bad} 2 abc 3600\n")
         assert cli.main(["bench", "--data", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert captured.out == clean  # the rate, and so the resync spacing, comes from b1
+        assert captured.out == clean  # each record's resync spacing comes from its own rate
         assert captured.err == f"skipped: {tmp_path / bad}: line 1: could not convert string to float: 'abc'\n"
         (tmp_path / f"{bad}.hea").unlink()
+
+
+def test_bench_scales_the_resync_interval_by_each_records_rate(tmp_path, capsys):
+    # at the default 4 s, a (500 Hz) resyncs every 2,000 samples and b (125 Hz) every 500
+    rng = np.random.default_rng(9)
+    for name, rate in (("a", 500), ("b", 125)):
+        write_record(tmp_path, name, [np.cumsum(rng.integers(-4, 5, size=6000)).clip(-2000, 2000).tolist()], rate=rate)
+
+    def row_of_b(argv):
+        assert cli.main(["bench", "--data", str(tmp_path), *argv]) == 0
+        return next(line for line in capsys.readouterr().out.splitlines() if line.split()[:1] == ["b"])
+
+    assert row_of_b([]) == row_of_b(["--records", "b"])
 
 
 def _packed_channels(tmp: Path, lengths, seed: int) -> tuple[Path, list[list[int]]]:

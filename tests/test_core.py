@@ -11,13 +11,14 @@ frames erased.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgz import decoder, encoder
+from ecgz import decoder, encoder, predictor
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
 from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar, frame_starts_scalar
@@ -253,3 +254,141 @@ def test_first_bad_sample_is_exact_where_int64_wraps():
             with pytest.raises(CorruptStreamError) as oracle:
                 scalar(words, count, order)
             assert str(core.value) == str(oracle.value)
+
+
+# Streams for the run-boundary scan. Raw samples between residual runs come
+# from resyncs (every 2-20 samples, one raw frame each) or from spikes, whose
+# L-th differences are wide only in the middle at these heights: either way
+# fewer than L raw samples separate most runs, so their exits chain. The maps
+# composed along such chains lose factors of 2 and reach 0 mod 2**64 within a
+# few hundred runs; lockstep streams repeat a gap and run length whose map is
+# not nilpotent mod 2, so the doubling scan runs past stride 2**10.
+SPIKE_HEIGHTS = {1: (70, 500), 2: (33, 55), 3: (23, 50), 4: (12, 45)}
+RESYNC_EVERY = {1: 3, 2: 8, 3: 13, 4: 19}
+LOCKSTEP_RUNS = {1: [3], 2: [2], 3: [2, 3]}  # frame sizes of the run after each gap of 1, 2, 3 raw samples
+CHAINS = [(order, kind) for order in range(1, 5) for kind in ("resync", "spikes")]
+CHAINS += [(order, "lockstep") for order in range(2, 5)]
+
+
+def _spiky(order: int, seed: int, n: int) -> np.ndarray:
+    """A slow random walk with a spike every 2-20 samples."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.integers(-1, 2, size=n))
+    at = np.cumsum(rng.integers(2, 21, size=n // 2))
+    at = at[at < n]
+    lo, hi = SPIKE_HEIGHTS[order]
+    x[at] += rng.integers(lo, hi + 1, size=at.size) * rng.choice([-1, 1], size=at.size)
+    return x
+
+
+def _lockstep(order: int) -> tuple[list[int], list[int]]:
+    """A slow walk framed by hand: for each gap g < L in turn, 1,100 times g raw frames then one run."""
+    sizes = [size for gap in range(1, order) for _ in range(1_100) for size in [1] * gap + LOCKSTEP_RUNS[gap]]
+    x = np.cumsum(np.random.default_rng(order).integers(-1, 2, size=sum(sizes)))
+    e = predictor.residuals(x, order)
+    at = np.cumsum(sizes) - sizes
+    words = [encoder._PACKERS[n]((x if n == 1 else e)[q : q + n].tolist()) for q, n in zip(at.tolist(), sizes)]
+    return x.tolist(), words
+
+
+def _chained(kind: str, order: int) -> tuple[list[int], list[int]]:
+    """(samples, words) of a stream with many short residual runs."""
+    if kind == "lockstep":
+        return _lockstep(order)
+    if kind == "resync":
+        xs = np.cumsum(np.random.default_rng(order).integers(-1, 2, size=25_000))
+        cfg = _config(order, RESYNC_EVERY[order], 1)
+    else:
+        xs = _spiky(order, order, 20_000)
+        cfg = _config(order, 0, 2)
+    return xs.tolist(), encoder.encode_channel(xs, cfg)
+
+
+def _residual_runs(words) -> tuple[np.ndarray, np.ndarray]:
+    """Sample index of each residual run's first and last sample."""
+    counts = decoder._sample_counts(np.asarray(words, dtype=np.int64))
+    raw = np.concatenate([[True], np.repeat(counts == 1, counts), [True]])
+    edges = np.diff(raw.view(np.int8))
+    return np.flatnonzero(edges == -1), np.flatnonzero(edges == 1) - 1
+
+
+def _longest_chain(firsts, lasts, order) -> int:
+    """Most consecutive runs with fewer than L raw samples between neighbours."""
+    breaks = np.flatnonzero(np.concatenate([[True], firsts[1:] - lasts[:-1] - 1 >= order, [True]]))
+    return int(np.diff(breaks).max())
+
+
+@pytest.mark.parametrize("order, kind", CHAINS)
+def test_chained_runs_match_the_scalar_oracle(order, kind):
+    xs, words = _chained(kind, order)
+    firsts, lasts = _residual_runs(words)
+    assert firsts.size >= 1100
+    if kind != "resync":
+        assert set(range(1, order)) <= set((firsts[1:] - lasts[:-1] - 1).tolist())
+    if kind == "lockstep":
+        assert _longest_chain(firsts, lasts, order) == firsts.size  # one chain
+    assert decoder.decode_channel(words, len(xs), order) == decode_channel_scalar(words, len(xs), order) == xs
+    rng = np.random.default_rng(order)
+    for erasure in ("none", "random", "random", "burst"):
+        frames = _erase(words, erasure, rng)
+        got = decoder.decode_resilient(frames, len(xs), order)
+        assert got == decode_resilient_scalar(frames, len(xs), order)
+
+
+@pytest.mark.parametrize("order, kind", [(order, kind) for order, kind in CHAINS if order > 1])
+def test_first_bad_sample_in_a_chained_run_matches_the_oracle(order, kind):
+    # Raw samples at the rail before a run that chains to the run before it
+    # push the run's first or second sample out of range; its value rests on
+    # the exit of every run before it in the chain.
+    xs, words = _chained(kind, order)
+    counts = decoder._sample_counts(np.asarray(words, dtype=np.int64))
+    frame_of = np.repeat(np.arange(len(words)), counts)  # frame index of each sample
+    firsts, lasts = _residual_runs(words)
+    chained = np.flatnonzero(firsts[1:] - lasts[:-1] - 1 < order) + 1
+    rng = np.random.default_rng(order)
+    for r in [*rng.choice(chained, size=3, replace=False), chained[-1]]:
+        damaged = list(words)
+        for s in range(lasts[r - 1] + 1, firsts[r]):
+            damaged[frame_of[s]] = 0x37FF  # a raw 2047
+        for decode, scalar in ((decoder.decode_channel, decode_channel_scalar), (decoder.decode_resilient, decode_resilient_scalar)):
+            with pytest.raises(CorruptStreamError) as core:
+                decode(damaged, len(xs), order)
+            with pytest.raises(CorruptStreamError) as oracle:
+                scalar(damaged, len(xs), order)
+            assert str(core.value) == str(oracle.value)
+        frames = _erase(damaged, "random", rng)
+        assert _outcome(decoder.decode_resilient, frames, len(xs), order) == _outcome(
+            decode_resilient_scalar, frames, len(xs), order
+        )
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_a_run_past_2_to_the_21_round_trips(order):
+    # C(u, 3) for u past 2**21 overflows int64 unless 2 and 3 come out first.
+    # Escapes before the long run give it an entry window that is not all zeros.
+    n_long = (1 << 21) + 5_000
+    wave = np.rint(1500 * np.sin(np.arange(n_long) * (2 * np.pi / (1 << 17)))).astype(np.int64)
+    head = _spiky(order, 6, 1_000)
+    xs = np.concatenate([head, head[-1] + wave, head[-1] + wave[-1] + _spiky(order, 7, 5_000)])
+    words = np.asarray(encoder.encode_channel(xs, _config(order, 0, 2)))
+    firsts, lasts = _residual_runs(words)
+    assert (lasts - firsts + 1).max() > 1 << 21
+    assert firsts.size > 200 and _longest_chain(firsts, lasts, order) > (order > 1)
+    assert np.array_equal(decoder._decode_words(words, xs.size, order), xs)
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: encoder.encode_channel([3, v]), "sample"),
+        (lambda v: encoder.encode_channels([[3, v]]), "sample"),
+        (lambda v: encoder.encode_multichannel([(0, 3), (0, v)]), "sample"),
+        (lambda v: decoder.decode_channel([0x3003, v], 2, 1), "frame word"),
+        (lambda v: decoder.decode_resilient([0x3003, None, v], 2, 1), "frame word"),
+    ],
+    ids=["encode_channel", "encode_channels", "encode_multichannel", "decode_channel", "decode_resilient"],
+)
+@pytest.mark.parametrize("value", [5.7, 12293.5, 5.0, 1 << 63, -(1 << 70)])
+def test_array_entry_points_reject_what_is_not_an_integer(call, what, value):
+    with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(value))} "):
+        call(value)
