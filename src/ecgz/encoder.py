@@ -394,11 +394,11 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     pointer doubling every frame start (_frame_walk). The sizes between
     starts name the types, and each type is packed in one numpy pass.
     """
-    x = predictor.int_array(samples, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK)
-    err = predictor.residuals(x, cfg.order)
+    err = predictor.residuals(samples, cfg.order)  # validates sample range
     n = err.size
     starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
     sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
+    x = np.asarray(samples, dtype=np.int64)
     words = np.zeros(starts.size, dtype=np.int64)
     for count, (word, width, mask) in _PACKING.items():  # one pass per type
         sel = sizes == count
