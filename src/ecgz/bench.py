@@ -469,18 +469,6 @@ class LossHarness:
         )
 
 
-def loss_sweep(
-    channels: Sequence[Sequence[int]],
-    config: encoder.EncoderConfig | None = None,
-    pattern: LossPattern = LossPattern(),
-    seeds: Sequence[int] = range(100),
-    span_bound: int | None = None,
-) -> list[LossReport]:
-    """Run many seeded loss experiments against one shared encode."""
-    harness = LossHarness(channels, config)
-    return [harness.run(pattern, seed=s, span_bound=span_bound) for s in seeds]
-
-
 def _drop_units(wire: bytes, drops: set[int]) -> bytes:
     units = np.frombuffer(wire, dtype=np.uint8).reshape(-1, 3)
     return np.delete(units, list(drops), axis=0).tobytes()

@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import predictor
-from .encoder import FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E, FRAME_TYPES, FrameType
+from .encoder import _TYPE_BY_COUNT, FRAME_TYPES, FrameType
 from .errors import CorruptStreamError, ReservedHeaderError, TruncationError
 
 _WORD_CHECK = "frame word {!r} is not a 16-bit value"
@@ -44,22 +44,22 @@ class DecodedFrame(NamedTuple):
     fields: list[int]
 
 
+# Samples per frame by the top four bits of a word: the headers are prefix-free,
+# so at most one type's header matches; 0 marks the reserved header. The count
+# alone names the type.
+_COUNT_BY_TOP4 = sum(
+    np.where(np.arange(16) >> (4 - ft.header_len) == ft.header_bits, ft.field_count, 0) for ft in FRAME_TYPES.values()
+)
+
+
 def parse_header(word: int) -> FrameType:
     """Classify a 16-bit frame word by its prefix-free header."""
     if not 0 <= word <= 0xFFFF:
         raise ValueError(_WORD_CHECK.format(word))
-    if word & 0x8000:
-        return FRAME_A
-    if word & 0x4000:
-        return FRAME_B
-    top4 = word >> 12
-    if top4 == 0b0000:
-        return FRAME_D
-    if top4 == 0b0001:
-        return FRAME_C
-    if top4 == 0b0011:
-        return FRAME_E
-    raise ReservedHeaderError(f"word 0x{word:04X} uses the reserved 0010 header")
+    count = int(_COUNT_BY_TOP4[word >> 12])
+    if not count:
+        raise ReservedHeaderError(f"word 0x{word:04X} uses the reserved 0010 header")
+    return _TYPE_BY_COUNT[count]
 
 
 def _field(word, ftype: FrameType, j: int):
@@ -73,10 +73,6 @@ def unpack_frame(word: int) -> DecodedFrame:
     """Split a frame word into its type and sign-extended field values."""
     ftype = parse_header(word)
     return DecodedFrame(ftype, [_field(word, ftype, j) for j in range(ftype.field_count)])
-
-
-# Samples per frame by the top four bits of a word; 0 marks the reserved header.
-_COUNT_BY_TOP4 = np.array([6, 4, 0, 1] + [2] * 4 + [3] * 8)  # D, C, reserved, E, then B and A
 
 
 def _sample_counts(words: np.ndarray) -> np.ndarray:

@@ -15,11 +15,12 @@ width that holds them (2, 3, 5, or 7 bits); anything wider escapes to
 Type E, which stores the raw sample instead. Pending samples queue up
 (at most 6) and whenever the queue is full the densest applicable type
 wins, in priority order D, C, A, B, E. The array core (_encode_arrays,
-also run per channel by encode_multichannel) and the streaming
-ChannelEncoder share one width table and one frame-size rule: the
-ChannelEncoder looks each frame size up in a table that the core's rule
-builds over every window of six width classes, and packs each type with
-one shift-and-or expression.
+also run per channel by encode_multichannel) states each frame rule
+once: _frame_counts selects, _frame_walk walks, and _PACKERS, one
+shift-and-or expression per type, packs a whole numpy pass. The
+streaming ChannelEncoder looks each frame size up in a table that
+_frame_counts builds over every window of six width classes, packs one
+frame with the same _PACKERS, and flushes its queue through the core.
 
 Type E doubles as the resynchronization frame: at a configurable sample
 interval the encoder forces consecutive E frames so a decoder that lost
@@ -107,25 +108,12 @@ class PendingSample:
     width: int
 
 
-# (sample count, field width) of each residual type, densest first.
-_SIZE_RULE = tuple((ft.field_count, ft.field_width) for ft in PRIORITY[:-1])
 # Frame type by sample count: the count alone identifies the type.
 _TYPE_BY_COUNT = {ft.field_count: ft for ft in PRIORITY}
-_PACKING = {n: (ft.header_bits, ft.field_width, (1 << ft.field_width) - 1) for n, ft in _TYPE_BY_COUNT.items()}
-
-
-def _frame_size(widths: Sequence[int]) -> int:
-    """Sample count of the densest type the queue front fills; scalar _frame_counts."""
-    queued = len(widths)
-    for count, width in _SIZE_RULE:
-        if queued >= count and max(widths[:count]) <= width:
-            return count
-    return FRAME_E.field_count
-
 
 # The word of the count-sample frame at the front of v, by count (which alone
-# identifies the type): raw samples for E, else residuals. _PACKING states the
-# same layouts for the array core.
+# identifies the type): raw samples for E, else residuals. The v[j] are ints,
+# or in the array core one gathered array per field.
 _PACKERS = (
     None,
     lambda v: 0x3000 | (v[0] & 0xFFF),
@@ -149,27 +137,6 @@ def _size_table() -> dict[int, int]:
     combos = classes[np.indices((classes.size,) * 6).reshape(6, -1).T]
     keys = combos @ (1 << np.arange(20, -1, -4))
     return dict(zip(keys.tolist(), _frame_counts(combos.ravel())[::6].tolist()))
-
-
-def frame_enable(queue: Sequence[PendingSample]) -> set[str]:
-    """Tags of the frame types the queue front can legally fill."""
-    if not queue:
-        raise ValueError("frame_enable needs at least one queued sample")
-    widths = [p.width for p in queue]
-    return {"E"} | {_TYPE_BY_COUNT[n].tag for n, w in _SIZE_RULE if len(widths) >= n and max(widths[:n]) <= w}
-
-
-def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> FrameType:
-    """Pick the frame type for the queue front.
-
-    A pending resynchronization overrides the density priority and forces
-    Type E so the raw sample goes out.
-    """
-    if not queue:
-        raise ValueError("select_frame needs at least one queued sample")
-    if resync_pending > 0:
-        return FRAME_E
-    return _TYPE_BY_COUNT[_frame_size([p.width for p in queue])]
 
 
 def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
@@ -247,15 +214,10 @@ class ChannelEncoder:
         return emitted
 
     def flush(self) -> list[int]:
-        """Drain the queue at end of input; every queued sample gets framed."""
-        xs, es = self._xs, self._es
-        widths = [min_width_class(e) for e in es]
-        words = []
-        while xs:
-            count = _frame_size(widths)
-            words.append(_PACKERS[count](xs if count == 1 else es))
-            del xs[:count], es[:count], widths[:count]
-        return words
+        """Drain the queue at end of input, greedily: a pending resync does not apply."""
+        x, err = np.array(self._xs, dtype=np.int64), np.array(self._es, dtype=np.int64)
+        self._xs, self._es = [], []
+        return _pack(x, err, _frame_walk(_frame_counts(width_classes(err)), 0, 0)).tolist()
 
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> list[int]:
@@ -391,22 +353,26 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
 
     Residuals give width classes, the width classes the greedy frame size
     at every position (_frame_counts), and the step table with its
-    pointer doubling every frame start (_frame_walk). The sizes between
-    starts name the types, and each type is packed in one numpy pass.
+    pointer doubling every frame start (_frame_walk); _pack packs each
+    type in one numpy pass.
     """
     err = predictor.residuals(samples, cfg.order)  # validates sample range
-    n = err.size
     starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
-    sizes = np.diff(starts, append=n)  # the sample count alone identifies the type
-    x = np.asarray(samples, dtype=np.int64)
+    return _pack(np.asarray(samples, dtype=np.int64), err, starts), np.minimum(starts + 5, err.size)
+
+
+def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Frame words, as int64, of the frames that start at starts.
+
+    The sizes between starts name the types; each type is one _PACKERS
+    call on its frames' fields, gathered as one array per field.
+    """
+    sizes = np.diff(starts, append=err.size)
     words = np.zeros(starts.size, dtype=np.int64)
-    for count, (word, width, mask) in _PACKING.items():  # one pass per type
+    for count in _TYPE_BY_COUNT:  # one pass per type
         sel = sizes == count
-        q, source = starts[sel], x if count == 1 else err
-        for j in range(count):
-            word = (word << width) | (source[q + j] & mask)
-        words[sel] = word
-    return words, np.minimum(starts + 5, n)
+        words[sel] = _PACKERS[count]((x if count == 1 else err)[starts[sel] + np.arange(count)[:, None]])
+    return words
 
 
 @dataclass

@@ -42,7 +42,6 @@ from ecgz.encoder import (
     FRAME_D,
     FRAME_E,
     PRIORITY,
-    _PACKING,
     EncoderConfig,
     FrameType,
     PendingSample,
@@ -217,9 +216,10 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
 
 def pack_scalar(count: int, values: Sequence[int]) -> int:
     """The word of the count-sample frame of values[:count]: raw samples for E, else residuals."""
-    word, width, mask = _PACKING[count]
+    ftype = next(ft for ft in PRIORITY if ft.field_count == count)
+    word, width = ftype.header_bits, ftype.field_width
     for v in values[:count]:
-        word = (word << width) | (v & mask)
+        word = (word << width) | (v & ((1 << width) - 1))
     return word
 
 

@@ -190,9 +190,8 @@ def test_single_frame_loss_recovery_bound():
     signal = bench.synthetic_ecg(16_200, seed=3)
     cfg = EncoderConfig(resync_interval_samples=1440)
     bound = 1440 + 6
-    reports = bench.loss_sweep(
-        [signal], cfg, bench.LossPattern("single"), seeds=range(1000), span_bound=bound
-    )
+    harness = bench.LossHarness([signal], cfg)
+    reports = [harness.run(bench.LossPattern("single"), seed=s, span_bound=bound) for s in range(1000)]
     bad = [r.seed for r in reports if not (r.known_samples_exact and r.bound_ok)]
     assert bad == [], f"failing seeds: {bad[:10]}"
     worst = max(r.max_span for r in reports)

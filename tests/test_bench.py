@@ -1,5 +1,6 @@
 """Ratio bookkeeping, database evaluation, and loss simulation."""
 
+import importlib.util
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from ecgz import baselines, bench, container, decoder, encoder, predictor
 from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count
 from test_ingest import write_record
@@ -228,9 +230,8 @@ def test_multichannel_loss_only_touches_the_hit_channel():
 
 def test_loss_sweep_shares_the_encode():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
-    reports = bench.loss_sweep(
-        [synthetic_channel()], cfg, bench.LossPattern("single"), seeds=range(8), span_bound=726
-    )
+    harness = bench.LossHarness([synthetic_channel()], cfg)
+    reports = [harness.run(bench.LossPattern("single"), seed=s, span_bound=726) for s in range(8)]
     assert len(reports) == 8
     assert all(r.known_samples_exact and r.bound_ok for r in reports)
     assert {r.seed for r in reports} == set(range(8))
@@ -284,3 +285,18 @@ def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed)
     assert got == expected
     assert all(type(v) is int for runs in report.spans for span in runs for v in span)
     assert type(report.corrupted_samples) is int and type(report.known_samples_exact) is bool
+
+
+def test_every_tracer_target_resolves_in_the_package():
+    # perfbench's tracer wraps each target by getattr, so a name missing here
+    # breaks every traced benchmark run, which the untraced CI gate never makes
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in spans.TARGETS
+        if not callable(getattr(importlib.import_module(f"ecgz.{module}"), name, None))
+    ]
+    assert missing == []

