@@ -5,6 +5,8 @@ frames whose type adapts to the local signal activity; periodic raw
 sample frames bound how long a receiver stays dark after packet loss.
 """
 
+import numpy as np
+
 from . import container, decoder, encoder
 from .container import RecordMeta, read_ecgz, write_ecgz
 from .decoder import decode_channel, decode_resilient
@@ -39,14 +41,20 @@ def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None)
         predictor_order=cfg.order,
         sample_counts=tuple(len(c) for c in channels),
     )
-    return write_ecgz(meta, words)
+    return container.write_ecgz(meta, words)
 
 
 def decompress(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
     """Inverse of compress: container bytes back to (meta, channels)."""
+    meta, channels = _decompress(data)
+    return meta, [c.tolist() for c in channels]
+
+
+def _decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
+    """decompress with each channel's samples as an int64 array."""
     meta, channel_words = container._read_words(data)
     channels = [
-        decoder._decode_words(words, count, meta.predictor_order).tolist()
+        decoder._decode_words(words, count, meta.predictor_order)
         for words, count in zip(channel_words, meta.sample_counts)
     ]
     return meta, channels

@@ -59,34 +59,20 @@ def build_huffman(hist: Mapping[int, int]) -> dict[int, int]:
     return lengths
 
 
-def ideal_huffman_bits(errors: Iterable[int]) -> int:
-    """Total bits to code the stream with its own full Huffman codebook."""
-    hist = build_histogram(errors)
-    if not hist:
-        raise ValueError("cannot size an empty residual stream")
-    return ideal_huffman_bits_from_hist(hist)
-
-
 def ideal_huffman_bits_from_hist(hist: Mapping[int, int]) -> int:
+    """Total bits to code a histogram's residuals with their own full Huffman codebook."""
     lengths = build_huffman(hist)
     return sum(count * lengths[sym] for sym, count in hist.items())
-
-
-def selective_huffman_bits(errors: Iterable[int], m: int, escape_bits: int = RESIDUAL_BITS) -> int:
-    """Total bits with only the m most frequent residuals Huffman-coded.
-
-    Every value costs one flag bit; coded values add their Huffman length
-    over the top-m histogram, all others add escape_bits raw bits.
-    """
-    hist = build_histogram(errors)
-    if not hist:
-        raise ValueError("cannot size an empty residual stream")
-    return selective_huffman_bits_from_hist(hist, m, escape_bits)
 
 
 def selective_huffman_bits_from_hist(
     hist: Mapping[int, int], m: int, escape_bits: int = RESIDUAL_BITS
 ) -> int:
+    """Total bits with only the m most frequent residuals Huffman-coded.
+
+    Every value costs one flag bit; coded values add their Huffman length
+    over the top-m histogram, all others add escape_bits raw bits.
+    """
     if m < 1:
         raise ValueError(f"codebook size must be at least 1, got {m}")
     if escape_bits < 1:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import baselines, container, decoder, encoder, ingest, predictor
+from . import baselines, compress, container, decoder, encoder, ingest, predictor
 from .errors import WfdbParseError
 
 DEFAULT_M_VALUES = (8, 16, 32, 64)
@@ -171,26 +171,11 @@ def evaluate_channels(
     orig_bits: int = ORIG_BITS_DEFAULT,
     m_values: Sequence[int] = DEFAULT_M_VALUES,
 ) -> list[ChannelRow]:
-    """Score one record's channels; also cross-checks the serialized size."""
-    channel_words = [w for w, _ in encoder._encode_equal(channels, config)]
-    meta = container.RecordMeta(
-        channel_count=len(channels),
-        sample_rate_hz=0,
-        resync_interval_samples=config.resync_interval_samples,
-        predictor_order=config.order,
-        sample_counts=tuple(len(c) for c in channels),
-    )
-    blob = container.write_ecgz(meta, channel_words)
-    header_len = 13 + 8 * len(channels)
-    payload_bits = 8 * (len(blob) - header_len)
-    total_frames = sum(w.size for w in channel_words)
-    if payload_bits != 16 * total_frames:
-        raise AssertionError("serialized payload disagrees with 16 bits per frame")
-
+    """Score one record's channels, charging each for the frames its container holds."""
+    _, channel_words = container._read_words(compress(channels, 0, config))
     escape_bits = predictor.residual_bits(config.order)  # the selective estimator's raw residual
     rows = []
-    for ch, samples in enumerate(channels):
-        words = channel_words[ch]
+    for ch, (samples, words) in enumerate(zip(channels, channel_words)):
         bits = 16 * words.size
         raw = len(samples) * orig_bits
         errors = predictor.residuals(samples, config.order)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, container, decoder, encoder, ingest
+from . import _decompress, bench, compress, container, decoder, encoder, ingest
 from .errors import EcgzError
 from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
@@ -38,10 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ecgz", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_codec_flags(sp, rate_default=512.0):
+    def add_input_flags(sp):
         sp.add_argument("--format", choices=("csv", "wfdb"), default=None, help="input format (default: by suffix)")
         sp.add_argument("--channels", type=int, default=None, help="expected channel count for CSV input")
-        sp.add_argument("--rate", type=float, default=rate_default, help="sample rate in Hz for CSV input")
+
+    def add_codec_flags(sp):
         sp.add_argument("--resync-seconds", type=float, default=4.0, help="resync spacing in seconds (0 disables)")
         sp.add_argument("--resync-samples", type=int, default=None, help="resync spacing in samples, overrides --resync-seconds")
         sp.add_argument("--order", type=int, default=2, choices=(1, 2, 3, 4), help="predictor order")
@@ -49,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compress", help="pack a recording into a .ecgz container")
     sp.add_argument("input", type=Path)
     sp.add_argument("output", type=Path)
+    add_input_flags(sp)
+    sp.add_argument("--rate", type=float, default=512.0, help="sample rate in Hz for CSV input")
     add_codec_flags(sp)
     sp.add_argument("--orig-bits", type=int, default=12, help="raw bits per sample for the ratio summary")
     sp.set_defaults(func=cmd_compress)
@@ -61,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="check a .ecgz container against its source recording")
     sp.add_argument("original", type=Path)
     sp.add_argument("compressed", type=Path)
-    sp.add_argument("--format", choices=("csv", "wfdb"), default=None)
-    sp.add_argument("--channels", type=int, default=None)
+    add_input_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bench", help="compression-ratio table over a record directory")
@@ -70,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--records", default=None, help="comma-separated record names (default: all)")
     sp.add_argument("--orig-bits", type=int, default=12, choices=(11, 12))
     sp.add_argument("--m", default="8,16,32,64", help="comma-separated codebook sizes for the selective estimator")
-    sp.add_argument("--resync-seconds", type=float, default=4.0)
-    sp.add_argument("--resync-samples", type=int, default=None)
-    sp.add_argument("--order", type=int, default=2, choices=(1, 2, 3, 4))
+    add_codec_flags(sp)
     sp.add_argument("--out-dir", type=Path, default=None, help="also write CSV reports here")
     sp.set_defaults(func=cmd_bench)
 
@@ -92,22 +92,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rate", type=float, default=360.0, help="sample rate for synthetic input")
     sp.add_argument("--duration", type=float, default=30.0, help="synthetic input length in seconds")
-    sp.add_argument("--resync-seconds", type=float, default=4.0)
-    sp.add_argument("--resync-samples", type=int, default=None)
-    sp.add_argument("--order", type=int, default=2, choices=(1, 2, 3, 4))
+    add_codec_flags(sp)
     sp.add_argument("--out", type=Path, default=None, help="write a CSV of per-run results")
     sp.set_defaults(func=cmd_simulate_loss)
     return p
 
 
-def _resync_samples(args, rate: float) -> int:
+def _codec_config(args, rate: float, channel_count: int = 1) -> encoder.EncoderConfig:
+    """The EncoderConfig the add_codec_flags flags ask for, --resync-seconds counted at rate."""
     if args.resync_samples is not None:
         if args.resync_samples < 0:
             raise ValueError("resync spacing cannot be negative")
-        return args.resync_samples
-    if args.resync_seconds < 0:
+        interval = args.resync_samples
+    elif args.resync_seconds < 0:
         raise ValueError("resync spacing cannot be negative")
-    return int(round(args.resync_seconds * rate))
+    else:
+        interval = int(round(args.resync_seconds * rate))
+    return encoder.EncoderConfig(resync_interval_samples=interval, channel_count=channel_count, order=args.order)
 
 
 def _detect_format(path: Path, flag) -> str:
@@ -129,26 +130,10 @@ def _load_input(path: Path, fmt: str, channels_flag, rate: float):
 def cmd_compress(args) -> int:
     fmt = _detect_format(args.input, args.format)
     channels, rate = _load_input(args.input, fmt, args.channels, args.rate)
-    if not channels:
-        raise ValueError("input has no channels")
-    if len(channels) > encoder.MAX_CHANNELS:
-        raise ValueError(f"input has {len(channels)} channels; at most {encoder.MAX_CHANNELS} supported")
-    cfg = encoder.EncoderConfig(
-        resync_interval_samples=_resync_samples(args, rate),
-        channel_count=len(channels),
-        order=args.order,
-    )
-    words = [w for w, _ in encoder._encode_equal(channels, cfg)]
-    meta = container.RecordMeta(
-        channel_count=len(channels),
-        sample_rate_hz=int(round(rate)),
-        resync_interval_samples=cfg.resync_interval_samples,
-        predictor_order=cfg.order,
-        sample_counts=tuple(len(c) for c in channels),
-    )
-    args.output.write_bytes(container.write_ecgz(meta, words))
+    blob = compress(channels, int(round(rate)), _codec_config(args, rate, len(channels)))
+    args.output.write_bytes(blob)
     n = sum(len(c) for c in channels)
-    frames = sum(w.size for w in words)
+    frames = sum(w.size for w in container._read_words(blob)[1])
     ratio = bench.bcr(n, args.orig_bits, 16 * frames) if frames else float("nan")
     print(f"{args.input}: {n} samples in {len(channels)} channel(s), {frames} frames, bcr {ratio:.3f}")
     return 0
@@ -176,14 +161,12 @@ def _csv_bytes(columns: list[np.ndarray]) -> bytes:
 
 
 def cmd_decompress(args) -> int:
-    meta, channel_words = container._read_words(args.input.read_bytes())
+    data = args.input.read_bytes()
+    meta = container._read_words(data)[0]  # header checks only: refuse unequal lengths before decoding
     if len(set(meta.sample_counts)) > 1:
         counts = ", ".join(f"channel {ch}: {n}" for ch, n in enumerate(meta.sample_counts))
         raise EcgzError(f"cannot write CSV rows from channels of unequal length ({counts} samples)")
-    channels = [
-        decoder._decode_words(words, count, meta.predictor_order)
-        for words, count in zip(channel_words, meta.sample_counts)
-    ]
+    _, channels = _decompress(data)
     rows = min(meta.sample_counts, default=0)
     with open(args.output, "wb") as fh:
         for i in range(0, rows, CSV_CHUNK_ROWS):
@@ -243,9 +226,8 @@ def _run_report(args, evaluate, summarize, csv_name: str) -> int:
 
 def cmd_bench(args) -> int:
     def evaluate(paths):
-        fixed = _resync_samples(args, 0.0)  # checks both flags; without --resync-samples, each record's own rate
+        cfg = _codec_config(args, 0.0)  # checks both flags; without --resync-samples, each record's own rate
         seconds = args.resync_seconds if args.resync_samples is None else None
-        cfg = encoder.EncoderConfig(resync_interval_samples=fixed, order=args.order)
         m_values = tuple(int(v) for v in args.m.split(","))
         return bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values, resync_seconds=seconds)
 
@@ -277,12 +259,8 @@ def cmd_simulate_loss(args) -> int:
     else:
         path = Path(args.record)
         channels, rate = _load_input(path, _detect_format(path, None), None, args.rate)
-    interval = _resync_samples(args, rate)
-    cfg = encoder.EncoderConfig(
-        resync_interval_samples=interval,
-        channel_count=len(channels),
-        order=args.order,
-    )
+    cfg = _codec_config(args, rate, len(channels))
+    interval = cfg.resync_interval_samples
     pattern = bench.LossPattern(
         mode=args.loss_mode,
         drop_probability=args.loss_prob,

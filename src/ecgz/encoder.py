@@ -222,21 +222,7 @@ class ChannelEncoder:
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> list[int]:
     """Encode one whole channel; equals push_sample over samples then flush."""
-    words, _ = encode_channel_indexed(samples, config)
-    return words
-
-
-def encode_channel_indexed(
-    samples: Sequence[int], config: EncoderConfig | None = None
-) -> tuple[list[int], list[int]]:
-    """Array fast path. Returns (words, positions).
-
-    positions[i] is the index of the sample whose arrival emitted
-    words[i]; frames emitted by the final flush get position
-    len(samples). Output is bit-identical to the streaming encoder.
-    """
-    words, positions = _encode_arrays(samples, config or EncoderConfig())
-    return words.tolist(), positions.tolist()
+    return _encode_arrays(samples, config or EncoderConfig())[0].tolist()
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
@@ -351,10 +337,11 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
 def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """Frame words and emission positions of one channel, as int64 arrays.
 
-    Residuals give width classes, the width classes the greedy frame size
-    at every position (_frame_counts), and the step table with its
-    pointer doubling every frame start (_frame_walk); _pack packs each
-    type in one numpy pass.
+    A word's position is the index of the sample whose push emits it in
+    ChannelEncoder, or len(samples) for the flush. Residuals give width
+    classes, the width classes the greedy frame size at every position
+    (_frame_counts), and the step table with its pointer doubling every
+    frame start (_frame_walk); _pack packs each type in one numpy pass.
     """
     err = predictor.residuals(samples, cfg.order)  # validates sample range
     starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)

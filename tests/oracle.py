@@ -11,7 +11,8 @@ steps from one frame start to the next in a Python loop; the wire
 sender and receiver walk the stream one 3-byte unit at a time; the
 container codec packs and unpacks words with struct; the CSV reader
 parses cell by cell and the CSV writer formats with %d; the loss audit
-walks every frame and sample. Tests diff the package's array paths
+walks every frame and sample; the Huffman size estimators take a residual
+list and histogram it first. Tests diff the package's array paths
 against them.
 """
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ecgz import predictor
+from ecgz import baselines, predictor
 from ecgz.container import (
     _HEAD,
     MAGIC,
@@ -472,3 +473,19 @@ def bool_runs_scalar(flags: Sequence[bool]) -> list[tuple[int, int]]:
     if start is not None:
         spans.append((start, len(flags)))
     return spans
+
+
+def ideal_huffman_bits(errors: Sequence[int]) -> int:
+    """Total bits to code the stream with its own full Huffman codebook."""
+    hist = baselines.build_histogram(errors)
+    if not hist:
+        raise ValueError("cannot size an empty residual stream")
+    return baselines.ideal_huffman_bits_from_hist(hist)
+
+
+def selective_huffman_bits(errors: Sequence[int], m: int, escape_bits: int = predictor.RESIDUAL_BITS) -> int:
+    """Total bits with only the m most frequent residuals Huffman-coded."""
+    hist = baselines.build_histogram(errors)
+    if not hist:
+        raise ValueError("cannot size an empty residual stream")
+    return baselines.selective_huffman_bits_from_hist(hist, m, escape_bits)

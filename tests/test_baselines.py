@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgz import baselines
+from oracle import ideal_huffman_bits, selective_huffman_bits
 
 hist_st = st.dictionaries(
     st.integers(min_value=-50, max_value=50),
@@ -50,7 +51,7 @@ def test_two_equiprobable_symbols_get_one_bit_each():
 
 def test_single_symbol_still_costs_one_bit():
     assert baselines.build_huffman({42: 9}) == {42: 1}
-    assert baselines.ideal_huffman_bits([42] * 9) == 9
+    assert ideal_huffman_bits([42] * 9) == 9
 
 
 def test_skewed_histogram_classic_lengths():
@@ -97,16 +98,16 @@ def test_ideal_bits_from_stream_and_hist_agree():
     errors = [0, 0, 1, -1, 0, 2, 0, 0]
     hist = baselines.build_histogram(errors)
     assert hist == {0: 5, 1: 1, -1: 1, 2: 1}
-    assert baselines.ideal_huffman_bits(errors) == baselines.ideal_huffman_bits_from_hist(hist)
+    assert ideal_huffman_bits(errors) == baselines.ideal_huffman_bits_from_hist(hist)
 
 
 def test_ideal_bits_rejects_empty():
     with pytest.raises(ValueError):
-        baselines.ideal_huffman_bits([])
+        ideal_huffman_bits([])
 
 
 def test_identical_residuals_cost_one_bit_each():
-    assert baselines.ideal_huffman_bits([3] * 100) == 100
+    assert ideal_huffman_bits([3] * 100) == 100
 
 
 # ---------------------------------------------------------------------------
@@ -115,38 +116,38 @@ def test_identical_residuals_cost_one_bit_each():
 
 def test_selective_unique_symbols_m1():
     errors = list(range(10))  # all counts equal, so the smallest symbol is kept
-    got = baselines.selective_huffman_bits(errors, m=1)
+    got = selective_huffman_bits(errors, m=1)
     # kept symbol: flag + 1-bit code; the rest escape at flag + 14 raw bits
     assert got == 2 + 15 * 9
 
 
 def test_selective_escape_width_override():
     errors = list(range(10))
-    assert baselines.selective_huffman_bits(errors, m=1, escape_bits=20) == 2 + 21 * 9
+    assert selective_huffman_bits(errors, m=1, escape_bits=20) == 2 + 21 * 9
 
 
 def test_selective_with_room_for_everything_is_ideal_plus_flags():
     errors = [0, 0, 0, 1, 1, -2, 5, 5, 5, 5]
-    ideal = baselines.ideal_huffman_bits(errors)
-    assert baselines.selective_huffman_bits(errors, m=10) == ideal + len(errors)
+    ideal = ideal_huffman_bits(errors)
+    assert selective_huffman_bits(errors, m=10) == ideal + len(errors)
 
 
 def test_selective_prefers_frequent_symbols():
     errors = [7] * 90 + [100, -100] * 5
-    bits_keep_top = baselines.selective_huffman_bits(errors, m=1)
+    bits_keep_top = selective_huffman_bits(errors, m=1)
     # 90 coded at 2 bits, 10 escapes at 15
     assert bits_keep_top == 90 * 2 + 10 * 15
 
 
 def test_selective_validates_m():
     with pytest.raises(ValueError):
-        baselines.selective_huffman_bits([0], m=0)
+        selective_huffman_bits([0], m=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=120), st.sampled_from([1, 2, 8, 64]))
 def test_ideal_never_beats_selective(errors, m):
-    assert baselines.ideal_huffman_bits(errors) <= baselines.selective_huffman_bits(errors, m)
+    assert ideal_huffman_bits(errors) <= selective_huffman_bits(errors, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,4 +155,4 @@ def test_ideal_never_beats_selective(errors, m):
 def test_selective_never_beats_raw_plus_flag_bound(errors):
     # every symbol could at worst escape, so the total is bounded by that
     worst = len(errors) * 15
-    assert baselines.selective_huffman_bits(errors, m=8) <= worst
+    assert selective_huffman_bits(errors, m=8) <= worst

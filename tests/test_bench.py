@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
-from ecgz import baselines, bench, container, decoder, encoder, predictor
-from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count
+from ecgz import bench, container, decoder, encoder, predictor
+from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count, selective_huffman_bits
 from test_ingest import write_record
 
 
@@ -60,9 +60,9 @@ def test_selective_escapes_cost_the_residual_width_of_the_order(order):
     cfg = encoder.EncoderConfig(resync_interval_samples=0, order=order)
     (row,) = bench.evaluate_channels("walk", [xs], cfg, m_values=(4,))
     errors = predictor.residuals(xs, order).tolist()
-    assert row.selective_bits[4] == baselines.selective_huffman_bits(errors, 4, escape_bits=12 + order)
+    assert row.selective_bits[4] == selective_huffman_bits(errors, 4, escape_bits=12 + order)
     if order == 2:  # the default prices escapes as before
-        assert row.selective_bits[4] == baselines.selective_huffman_bits(errors, 4)
+        assert row.selective_bits[4] == selective_huffman_bits(errors, 4)
 
 
 def test_database_report_pools_channels_per_record(tmp_path):

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecgz
 from ecgz import cli, container, encoder
+from ecgz.errors import ReservedHeaderError
 from oracle import write_csv_scalar
 from test_ingest import write_record
 
@@ -55,6 +57,18 @@ def test_compress_records_the_resync_interval(tmp_path):
     meta, _ = container.read_ecgz(packed.read_bytes())
     assert meta.resync_interval_samples == 600
     assert meta.sample_rate_hz == 250
+
+
+@pytest.mark.parametrize(
+    "flags, rate, interval, order",
+    [([], 512, 2048, 2), (["--rate", "360.4", "--order", "3"], 360, 1442, 3), (["--resync-samples", "0"], 512, 0, 2)],
+)
+def test_compress_writes_the_package_compress_bytes(tmp_path, flags, rate, interval, order):
+    src, chans = walk_csv(tmp_path, n=700, nch=3)
+    packed = tmp_path / "rec.ecgz"
+    assert cli.main(["compress", str(src), str(packed), *flags]) == 0
+    cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=3, order=order)
+    assert packed.read_bytes() == ecgz.compress(chans, rate, cfg)
 
 
 def test_compress_flat_signal_reports_ceiling_ratio(tmp_path, capsys):
@@ -275,6 +289,15 @@ def test_decompress_refuses_unequal_channel_lengths(tmp_path, capsys):
     assert not restored.exists()
     err = capsys.readouterr().err
     assert "channel 0: 5, channel 1: 9, channel 2: 5" in err
+    # the lengths are refused before any frame is decoded, so a payload that cannot decode gets the same message
+    blob = bytearray(packed.read_bytes())
+    blob[13 + 8 * 3 : 15 + 8 * 3] = b"\x20\x00"  # reserved frame header 0010
+    packed.write_bytes(bytes(blob))
+    with pytest.raises(ReservedHeaderError):
+        ecgz.decompress(bytes(blob))
+    assert cli.main(["decompress", str(packed), str(restored)]) == 2
+    assert not restored.exists()
+    assert "channel 0: 5, channel 1: 9, channel 2: 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

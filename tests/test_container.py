@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecgz
 from ecgz import container, decoder, encoder
 from ecgz.container import RecordMeta
 from ecgz.errors import (
@@ -66,11 +67,18 @@ def test_container_round_trip(nch, seed, n, interval):
     cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch)
     frames = encoder.encode_channels(chans, cfg).channel_frames
     meta = RecordMeta(nch, 250, interval, 2, tuple(n for _ in range(nch)))
-    got_meta, got_frames = container.read_ecgz(container.write_ecgz(meta, frames))
+    blob = ecgz.compress(chans, 250, cfg)
+    assert blob == container.write_ecgz(meta, frames)
+    got_meta, got_frames = container.read_ecgz(blob)
     assert got_meta == meta
     assert got_frames == [list(f) for f in frames]
     decoded = [decoder.decode_channel(f, n, 2) for f in got_frames]
     assert decoded == chans
+    meta_arrays, arrays = ecgz._decompress(blob)
+    assert meta_arrays == meta
+    assert all(a.dtype == np.int64 for a in arrays) and [a.tolist() for a in arrays] == chans
+    # without a config, compress resyncs every 2,048 samples at order 2
+    assert ecgz.compress(chans, 250) == ecgz.compress(chans, 250, encoder.EncoderConfig(channel_count=nch))
 
 
 def test_write_rejects_mismatched_channel_lists():

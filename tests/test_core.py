@@ -67,7 +67,8 @@ def test_encoder_core_matches_the_streaming_encoder(case):
     tail = enc.flush()
     words += tail
     positions += [n] * len(tail)
-    assert encoder.encode_channel_indexed(xs, _config(order, interval, e_frames)) == (words, positions)
+    got = encoder._encode_arrays(xs, _config(order, interval, e_frames))
+    assert (got[0].tolist(), got[1].tolist()) == (words, positions)
 
 
 def _walk_widths(kind: str, n: int, seed: int) -> np.ndarray:

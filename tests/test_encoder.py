@@ -336,7 +336,7 @@ def test_streaming_encoder_equals_the_indexed_fast_path(xs, order, interval, e_f
     for x in xs:
         streamed.extend(enc.push_sample(int(x)))
     streamed.extend(enc.flush())
-    words, positions = encoder.encode_channel_indexed(xs, cfg)
+    words, positions = (a.tolist() for a in encoder._encode_arrays(xs, cfg))
     assert words == streamed
     assert len(positions) == len(words)
     assert positions == sorted(positions)
