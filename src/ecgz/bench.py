@@ -418,19 +418,17 @@ class LossHarness:
         elif any(not 0 <= i < self.n_units for i in drops):
             raise ValueError(f"drop indices must lie in 0..{self.n_units - 1}")
         kept = _drop_units(self.wire, drops)
-        decoded = container.wire_decode(
-            kept, len(self.channels), expected_frame_counts=self.expected_frames
-        )
+        received, _ = container._wire_arrays(kept, len(self.channels), self.expected_frames)
 
         all_spans: list[list[tuple[int, int]]] = []
         recoveries: list[list[int]] = []
         corrupted_total = 0
         exact = True
         for ch, samples in enumerate(self.channels):
-            received = decoded.channels[ch]
-            if len(received) != self.expected_frames[ch]:
+            words, lost = received[ch]
+            if words.size != self.expected_frames[ch]:
                 raise AssertionError("wire reconciliation lost track of the frame count")
-            out, known, lost = decoder._decode_erasures(received, len(samples), self.config.order)
+            out, known = decoder._decode_erasures(words, lost, len(samples), self.config.order)
             corrupted = _audit_channel(samples, self._counts[ch], lost, out, known)
             if corrupted is None:
                 exact = False

@@ -192,6 +192,20 @@ def wire_decode(
     expected_frame_counts is given; such repairs are flagged ambiguous
     when the missing units' positions cannot be pinned down.
     """
+    channels, gaps = _wire_arrays(data, channel_count, expected_frame_counts)
+    received = []
+    for words, lost in channels:
+        frames = words.tolist()
+        for i in np.flatnonzero(lost).tolist():
+            frames[i] = None
+        received.append(frames)
+    return WireDecodeResult(received, gaps)
+
+
+def _wire_arrays(
+    data: bytes, channel_count: int, expected: Sequence[int] | None = None
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[WireGap]]:
+    """wire_decode with each channel as (words, lost): int64 frame words, 0 where the bool mask marks a loss."""
     if len(data) % 3:
         raise TruncationError(f"wire stream of {len(data)} bytes is not whole 3-byte units")
     if not 1 <= channel_count <= 4:
@@ -201,50 +215,52 @@ def wire_decode(
     unknown = np.flatnonzero(chans >= channel_count)
     if unknown.size:
         raise CorruptStreamError(f"unit at byte {3 * unknown[0]} tagged for unknown channel {chans[unknown[0]]}")
-    seqs = (units[:, 0] & (SEQ_MOD - 1)).astype(np.int64)
+    if expected is not None and len(expected) != channel_count:
+        raise ValueError("one expected frame count per channel required")
+    seqs = (units[:, 0] & (SEQ_MOD - 1)).astype(np.int16)
     words = (units[:, 1].astype(np.int64) << 8) | units[:, 2]
-    # per received unit: the units lost just before it, and its word's place in its channel's list
-    missing, slots = np.zeros((2, len(units)), dtype=np.int64)
-    channels: list[list[int | None]] = []
+    # Per channel: its units in arrival order, the units lost just before
+    # each, and each word's slot in the channel's stream.
+    streams, found = [], []
     for ch in range(channel_count):
         sel = np.flatnonzero(chans == ch)
-        gap = (np.diff(seqs[sel], prepend=-1) - 1) % SEQ_MOD
-        missing[sel] = gap
-        slots[sel] = np.arange(sel.size) + np.cumsum(gap)
-        frames = np.full(sel.size + int(gap.sum()), None, dtype=object)
-        frames[slots[sel]] = words[sel]
-        channels.append(frames.tolist())
-    lost = np.flatnonzero(missing)
-    gaps = [WireGap(*g) for g in zip(chans[lost].tolist(), (slots - missing)[lost].tolist(), missing[lost].tolist())]
-    result = WireDecodeResult(channels, gaps)
-    if expected_frame_counts is not None:
-        if len(expected_frame_counts) != channel_count:
-            raise ValueError("one expected frame count per channel required")
-        for ch in range(channel_count):
-            _reconcile_channel(result, ch, expected_frame_counts[ch])
-    return result
+        missing = (np.diff(seqs[sel], prepend=-1) - 1) & (SEQ_MOD - 1)
+        at = np.arange(sel.size) + np.cumsum(missing)
+        streams.append((sel, at, sel.size + int(missing.sum())))
+        hit = np.flatnonzero(missing)
+        found += zip(sel[hit].tolist(), [ch] * hit.size, (at - missing)[hit].tolist(), missing[hit].tolist())
+    gaps = [WireGap(*g[1:]) for g in sorted(found)]  # in stream order
+    channels = []
+    for ch, (sel, at, size) in enumerate(streams):
+        if expected is not None:
+            _reconcile_channel(gaps, ch, at, size, expected[ch])
+            size = expected[ch]
+        frames, lost = np.zeros(size, dtype=np.int64), np.ones(size, dtype=bool)
+        frames[at], lost[at] = words[sel], False
+        channels.append((frames, lost))
+    return channels, gaps
 
 
-def _reconcile_channel(result: WireDecodeResult, ch: int, expected: int) -> None:
-    frames = result.channels[ch]
-    deficit = expected - len(frames)
+def _reconcile_channel(gaps: list[WireGap], ch: int, at: np.ndarray, size: int, expected: int) -> None:
+    """Grow channel ch's stream from size to expected slots, marking the added ones in gaps.
+
+    Moves the slots at of its received words past any units inserted before them.
+    """
+    deficit = expected - size
     if deficit < 0:
-        raise CountMismatchError(f"channel {ch} received {len(frames)} frames, expected {expected}")
-    if deficit == 0:
-        return
-    ch_gaps = [g for g in result.gaps if g.channel == ch]
+        raise CountMismatchError(f"channel {ch} received {size} frames, expected {expected}")
     # Units dropped after the channel's last received one show in no
     # sequence number; under one mod-64 cycle they are exactly the deficit
     # mod 64. Whole cycles may instead have vanished inside a gap: a lone
     # gap takes them, otherwise (no gap, or no way to tell which of several
     # swallowed them) they join the tail. Either way their place is uncertain.
     cycles = deficit - deficit % SEQ_MOD
+    ch_gaps = [g for g in gaps if g.channel == ch]
     if cycles and len(ch_gaps) == 1:
         gap = ch_gaps[0]
-        frames[gap.index : gap.index] = [None] * cycles
+        at[at >= gap.index] += cycles
         gap.missing += cycles
         gap.ambiguous = True
         deficit -= cycles
     if deficit:
-        result.gaps.append(WireGap(ch, len(frames), deficit, ambiguous=cycles > 0))
-        frames.extend([None] * deficit)
+        gaps.append(WireGap(ch, expected - deficit, deficit, ambiguous=cycles > 0))

@@ -1,8 +1,9 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
-Both decoders run one array core. It places every field of every frame
-at once. Type E fields are raw samples, the other fields residuals, and
-the history starts as L zeros, exactly as in the encoder. An order-L
+Both decoders run one array core. One gather from a table of every
+16-bit word's fields, built once per process, places every field of
+every frame at once. Type E fields are raw samples, the other fields
+residuals, and the history starts as L zeros, exactly as in the encoder. An order-L
 slope predictor is an L-th difference, so on a run of residual-coded
 samples the output is the L-fold running sum of the residuals plus the
 degree L - 1 polynomial through the L outputs before the run. Runs
@@ -20,13 +21,17 @@ decode_resilient accepts a stream where whole frames are missing (None
 entries). A missing frame desynchronizes the predictor; until L
 consecutive raw (Type E) samples arrive to rebuild its history the
 decoder emits None for every residual-coded sample instead of guessing.
-Because a lost frame may have carried 1..6 samples, erased frames
-contribute no output positions and the caller aligns the result against
-whatever ground truth it holds.
+The core finds, from the boundaries of the runs of raw samples, where
+each erasure's resync happens. Because a lost frame may have carried
+1..6 samples, erased frames contribute no output positions and the
+caller aligns the result against whatever ground truth it holds. The
+list of words is read into arrays once; the receive path of the loss
+harness hands the wire's arrays to the core directly.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +80,21 @@ def unpack_frame(word: int) -> DecodedFrame:
     return DecodedFrame(ftype, [_field(word, ftype, j) for j in range(ftype.field_count)])
 
 
+@functools.cache
+def _field_table() -> np.ndarray:
+    """Every 16-bit word's sign-extended fields as a (65536, 6) int16 table, zero-padded.
+
+    Rows of the reserved header are all zero. Built on first use, once per process.
+    """
+    words = np.arange(1 << 16)
+    table = np.zeros((words.size, 6), dtype=np.int16)
+    for ft in FRAME_TYPES.values():
+        w = words[_COUNT_BY_TOP4[words >> 12] == ft.field_count]
+        for j in range(ft.field_count):
+            table[w, j] = _field(w, ft, j)
+    return table
+
+
 def _sample_counts(words: np.ndarray) -> np.ndarray:
     """Samples carried by each word; 0 for the reserved header and non-words."""
     return np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
@@ -104,34 +124,16 @@ def _rebuild(
     n = int(starts[-1] + counts[-1]) if stop else L
 
     buf = np.zeros(n, dtype=np.int64)  # L zeros of history, then every field
+    # output sample i is field i - (starts - L) of its frame, at 6 * word + field in the flat table
+    at = np.repeat(6 * words - (starts - L), counts)
+    at += np.arange(n - L)
+    buf[L:] = _field_table().ravel()[at]
     is_raw = np.zeros(n + 1, dtype=bool)  # the L zeros count as raw; a stop mark past the end
     is_raw[:L] = is_raw[n] = True
-    for ft in FRAME_TYPES.values():
-        sel = counts == ft.field_count
-        w, q = words[sel], starts[sel]
-        if not q.size:
-            continue
-        for j in range(ft.field_count):
-            buf[q + j] = _field(w, ft, j)
-        is_raw[q] = ft.carries_original
-
-    # Samples before the first erasure are known. After it, an epoch is
-    # the stretch of samples between two erasures. Tag each sample with
-    # its epoch's first index and with the first index of the raw run it
-    # ends (its own index + 1 if it is residual); a run that reaches L
-    # samples within one epoch resynchronizes the rest of the epoch.
-    known = np.ones(n, dtype=bool)
-    cuts = starts[lost]
-    if cuts.size:
-        f = int(cuts[0])
-        pos = np.arange(f, n)
-        epoch = np.zeros(n + 1 - f, dtype=np.int64)
-        epoch[cuts - f] = cuts
-        epoch = np.maximum.accumulate(epoch[: n - f])
-        raw = is_raw[f:n]
-        run_start = np.maximum(np.maximum.accumulate(np.where(raw, 0, pos + 1)), epoch)
-        synced_at = np.maximum.accumulate(np.where(pos - run_start >= L - 1, pos, -1))
-        known[f:] = raw | (synced_at >= epoch)
+    is_raw[starts[counts == 1]] = True  # Type E, the one single-sample frame
+    edges = np.diff(is_raw.view(np.int8))
+    firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
+    known = _known(is_raw[:n], firsts, lasts, starts[lost], L)
 
     # Rebuild every maximal run of residual samples from the L outputs
     # before it: the last L samples of all runs at once (_run_exits), then
@@ -140,8 +142,6 @@ def _rebuild(
     # restore every sample, exact mod 2**64. Runs after an erasure come out
     # as if nothing were lost, which is junk until L raw samples resync;
     # no known sample depends on them.
-    edges = np.diff(is_raw.view(np.int8))
-    firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
     if firsts.size:
         exits = (lasts[:, None] - L + 1 + np.arange(L)).ravel()
         values = _run_exits(buf, firsts, lasts, L).ravel()
@@ -161,6 +161,34 @@ def _rebuild(
     if wrong < out.size:
         raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
     return out, known
+
+
+def _known(is_raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.ndarray, L: int) -> np.ndarray:
+    """Which buffer samples are known, given erasures just before the indices cuts.
+
+    is_raw marks the raw samples, and firsts, lasts bound the runs of
+    residual samples between them. Raw samples are known, and so is every
+    sample before the first cut. After it, an epoch runs from one cut to
+    the next; the first L raw samples in a row within an epoch
+    resynchronize it, and its samples from the L-th on are known.
+    """
+    n = is_raw.size
+    if not cuts.size:
+        return np.ones(n, dtype=bool)
+    rs, re = np.append(0, lasts + 1), np.append(firsts, n)  # the raw runs [rs, re)
+    # The run that ends after a cut starts at the cut at the earliest; if it
+    # holds fewer than L samples from there, the next run of at least L syncs.
+    k = np.searchsorted(re, cuts, side="right")
+    head = np.maximum(np.append(rs, n)[k], cuts)
+    longs = np.flatnonzero(re - rs >= L)
+    later = np.append(rs[longs], n)[np.searchsorted(longs, k, side="right")]
+    synced = np.where(np.append(re, n)[k] - head >= L, head, later) + L - 1
+    ends = np.append(cuts[1:], n)
+    ok = synced < ends
+    marks = np.zeros(n + 1, dtype=np.int8)  # +1 where a known stretch begins, -1 past its end
+    marks[np.append(0, synced[ok])] = 1
+    marks[np.append(cuts[0], ends[ok])] -= 1
+    return np.cumsum(marks[:n], dtype=np.int8).view(bool) | is_raw
 
 
 def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
@@ -297,7 +325,17 @@ def decode_resilient(
     carries more than expected_count samples raises; a short one raises
     only when no frame was erased.
     """
-    out, known, _ = _decode_erasures(frames, expected_count, order)
+    received = list(frames)
+    lost = np.zeros(len(received), dtype=bool)
+    i = -1
+    try:  # list.index finds each None at C speed
+        while True:
+            i = received.index(None, i + 1)
+            received[i], lost[i] = 0, True
+    except ValueError:
+        pass
+    words = predictor.int_array(received, *_INT64, _WORD_CHECK)
+    out, known = _decode_erasures(words, lost, expected_count, order)
     spans = _runs(~known)
     samples = out.tolist()
     for start, stop in spans:
@@ -306,13 +344,13 @@ def decode_resilient(
 
 
 def _decode_erasures(
-    frames: Iterable[int | None], expected_count: int, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """decode_resilient as arrays: (samples, known) over the received frames' samples, and lost per frame."""
-    received = np.array(list(frames), dtype=object)
-    lost = np.equal(received, None)
-    received[lost] = 0
-    words = predictor.int_array(received, *_INT64, _WORD_CHECK)
+    words: np.ndarray, lost: np.ndarray, expected_count: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """decode_resilient as arrays: (samples, known) over the received frames' samples.
+
+    words is an int64 array of frame words and lost the bool mask of the
+    erased frames, whose words are ignored.
+    """
     counts = np.where(lost, 0, _sample_counts(words))
     bad_word = _first((counts == 0) & ~lost)
     out, known = _rebuild(words, counts, lost, bad_word, order)
@@ -322,7 +360,7 @@ def _decode_erasures(
         raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
     if out.size < expected_count and not lost.any():
         raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
-    return out, known, lost
+    return out, known
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:

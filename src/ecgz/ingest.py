@@ -140,15 +140,12 @@ def read_format212(data: bytes, n_samples: int, n_signals: int) -> list[np.ndarr
     buf = np.zeros(3 * ntrip, dtype=np.uint8)
     take = min(len(data), 3 * ntrip)
     buf[:take] = np.frombuffer(data[:take], dtype=np.uint8)
-    b0 = buf[0::3].astype(np.int64)
-    b1 = buf[1::3].astype(np.int64)
-    b2 = buf[2::3].astype(np.int64)
-    values = np.empty(2 * ntrip, dtype=np.int64)
-    values[0::2] = b0 | ((b1 & 0x0F) << 8)
-    values[1::2] = b2 | ((b1 & 0xF0) << 4)
-    values = values[:total]
-    values[values >= 2048] -= 4096  # 12-bit two's complement
-    return [values[k::n_signals].copy() for k in range(n_signals)]
+    trip = buf.reshape(ntrip, 3).astype(np.int16)
+    values = np.empty((ntrip, 2), dtype=np.int16)
+    values[:, 0] = trip[:, 0] | (trip[:, 1] & 0x0F) << 8
+    values[:, 1] = trip[:, 2] | (trip[:, 1] & 0xF0) << 4
+    values = ((values << 4) >> 4).ravel()[:total]  # 12-bit two's complement, sign-extended
+    return [values[k::n_signals].astype(np.int64) for k in range(n_signals)]
 
 
 def normalize_to_12bit(raw_signals: Sequence[np.ndarray], record: WfdbRecord) -> list[np.ndarray]:

@@ -57,10 +57,16 @@ def int_array(values, lo: int, hi: int, message: str) -> np.ndarray:
     """values as an int64 array; ValueError for the first that is not an integer in lo..hi.
 
     message is formatted with the offending value. An integer array costs
-    a min and a max. Anything else (floats, ints too wide for int64, a
-    mix of objects) converts exactly, as array("q") does, or is searched
-    for the first offender.
+    a min and a max, and so does a list of ints, read through array("q").
+    Anything else (floats, ints too wide for int64, a mix of objects)
+    converts exactly, as array("q") does, or is searched for the first
+    offender.
     """
+    if isinstance(values, list):
+        try:  # a float raises TypeError, an int beyond int64 OverflowError
+            values = np.frombuffer(array("q", values), dtype=np.int64)
+        except (TypeError, OverflowError):
+            pass
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
         try:  # a float raises TypeError, an int beyond int64 OverflowError

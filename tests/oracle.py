@@ -33,7 +33,6 @@ from ecgz.container import (
     RecordMeta,
     WireDecodeResult,
     WireGap,
-    _reconcile_channel,
 )
 from ecgz.decoder import parse_header, unpack_frame
 from ecgz.encoder import (
@@ -328,6 +327,31 @@ def wire_decode_scalar(
         for ch in range(channel_count):
             _reconcile_channel(result, ch, expected_frame_counts[ch])
     return result
+
+
+def _reconcile_channel(result: WireDecodeResult, ch: int, expected: int) -> None:
+    frames = result.channels[ch]
+    deficit = expected - len(frames)
+    if deficit < 0:
+        raise CountMismatchError(f"channel {ch} received {len(frames)} frames, expected {expected}")
+    if deficit == 0:
+        return
+    ch_gaps = [g for g in result.gaps if g.channel == ch]
+    # Units dropped after the channel's last received one show in no
+    # sequence number; under one mod-64 cycle they are exactly the deficit
+    # mod 64. Whole cycles may instead have vanished inside a gap: a lone
+    # gap takes them, otherwise (no gap, or no way to tell which of several
+    # swallowed them) they join the tail. Either way their place is uncertain.
+    cycles = deficit - deficit % SEQ_MOD
+    if cycles and len(ch_gaps) == 1:
+        gap = ch_gaps[0]
+        frames[gap.index : gap.index] = [None] * cycles
+        gap.missing += cycles
+        gap.ambiguous = True
+        deficit -= cycles
+    if deficit:
+        result.gaps.append(WireGap(ch, len(frames), deficit, ambiguous=cycles > 0))
+        frames.extend([None] * deficit)
 
 
 def wire_encode_scalar(emission_log: Sequence[tuple[int, int]]) -> bytes:

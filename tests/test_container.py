@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecgz
@@ -284,6 +284,8 @@ def _wire_outcome(decode, data, nch, expected):
     st.sampled_from(["none", "true", "off_by_one"]),
     st.integers(0, 2**32 - 1),
 )
+@example(nch=2, n=400, damage="burst", counts="true", seed=0)  # a lone gap of 90 units takes one whole cycle
+@example(nch=3, n=300, damage="tail", counts="true", seed=0)  # every channel loses its tail
 def test_wire_decode_matches_the_scalar_receiver(nch, n, damage, counts, seed):
     rng = np.random.default_rng(seed)
     chans = rng.integers(0, nch, size=n)
@@ -310,6 +312,13 @@ def test_wire_decode_matches_the_scalar_receiver(nch, n, damage, counts, seed):
             expected[int(rng.integers(nch))] += int(rng.choice([-1, 1]))
     got = _wire_outcome(container.wire_decode, data, nch, expected)
     assert got == _wire_outcome(wire_decode_scalar, data, nch, expected)
+    if isinstance(got[0], list):  # the array form the list form is read from
+        arrays, gaps = container._wire_arrays(data, nch, expected)
+        assert gaps == got[1] and len(arrays) == nch
+        for (words, lost), frames in zip(arrays, got[0]):
+            assert words.dtype == np.int64 and lost.dtype == bool
+            assert lost.tolist() == [w is None for w in frames]
+            assert words[~lost].tolist() == [w for w in frames if w is not None]
 
 
 def test_file_and_memory_sizes_agree():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import pending, queue_of
 from ecgz import decoder, encoder
 from ecgz.encoder import FRAME_TYPES, EncoderConfig
-from ecgz.errors import CorruptStreamError, ReservedHeaderError, TruncationError
-from oracle import frame_sample_count
+from ecgz.errors import CorruptStreamError, EcgzError, ReservedHeaderError, TruncationError
+from oracle import decode_resilient_scalar, frame_sample_count
 
 FIELD_COUNTS = {"A": 3, "B": 2, "C": 4, "D": 6, "E": 1}
 
@@ -37,17 +37,22 @@ def test_reserved_header_raises():
 
 
 def test_every_word_parses_by_its_header_bits_exhaustively():
-    # parse_header and _sample_counts share one table; check both against the FrameType headers
+    # parse_header and _sample_counts share one table; check both against the FrameType headers,
+    # and the core's field table, zero-padded to 6 fields, against unpack_frame
     counts = decoder._sample_counts(np.arange(1 << 16))
+    table = decoder._field_table()
+    assert table.shape == (1 << 16, 6) and table.dtype == np.int16
     for word in range(1 << 16):
         matching = [ft for ft in FRAME_TYPES.values() if word >> (16 - ft.header_len) == ft.header_bits]
         if word >> 12 == encoder.RESERVED_HEADER_BITS:
-            assert matching == [] and counts[word] == 0
+            assert matching == [] and counts[word] == 0 and not table[word].any()
             with pytest.raises(ReservedHeaderError):
                 decoder.parse_header(word)
         else:
             assert decoder.parse_header(word) == matching[0] and len(matching) == 1
             assert counts[word] == matching[0].field_count
+            fields = decoder.unpack_frame(word).fields
+            assert table[word].tolist() == fields + [0] * (6 - len(fields))
 
 
 def test_parse_header_rejects_non_words():
@@ -280,6 +285,34 @@ def test_higher_order_needs_matching_raw_run_to_resync():
     ]
     assert known == e_fields
     assert any(v is None for v in out[-10:])
+
+
+def _resilient_outcome(decode, frames, count):
+    try:
+        return decode(frames, count, 2)
+    except (ValueError, EcgzError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "frames",
+    [
+        [0x3003, None, 0x3004, -0.5, 0x3005],  # a float
+        [0x3003, None, 0x3004, 1 << 70, 0x3005],  # an int beyond int64
+        [0x3003, None, 0x3004, 0x1FFFF, 0x3005],  # 17 bits
+        [0x3003, None, 0x3004, -3, 0x3005],  # negative
+        [None] * 4,
+        [0x3003, None, 0x3004, None, 0x0123],
+    ],
+    ids=["float", "beyond_int64", "17_bits", "negative", "all_lost", "valid"],
+)
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_resilient_input_checks_match_the_scalar_oracle(frames, as_generator):
+    def stream():
+        return (w for w in frames) if as_generator else list(frames)
+
+    got = _resilient_outcome(decoder.decode_resilient, stream(), 9)
+    assert got == _resilient_outcome(decode_resilient_scalar, stream(), 9)
 
 
 def test_resilient_rejects_surplus_and_truncation():
