@@ -114,9 +114,7 @@ class DatabaseReport:
             raw = n * self.orig_bits
             packed = sum(r.compressed_bits for r in rows)
             ideal = sum(r.ideal_bits for r in rows)
-            sel = {
-                m: raw / sum(r.selective_bits[m] for r in rows) for m in self.m_values
-            }
+            sel = {m: raw / sum(r.selective_bits[m] for r in rows) for m in self.m_values}
             out.append(RecordRow(name, n, packed, raw / packed, raw / ideal, sel))
         return out
 
@@ -346,8 +344,7 @@ class LossReport:
 
     @property
     def max_span(self) -> int:
-        widths = [stop - start for spans in self.spans for start, stop in spans]
-        return max(widths, default=0)
+        return max((stop - start for spans in self.spans for start, stop in spans), default=0)
 
     @property
     def bound_ok(self) -> bool:
@@ -357,17 +354,13 @@ class LossReport:
 def _choose_drops(pattern: LossPattern, n_units: int, rng: random.Random) -> set[int]:
     if pattern.mode == "none" or n_units == 0:
         return set()
-    if pattern.mode == "single":
-        idx = pattern.unit_index if pattern.unit_index is not None else rng.randrange(n_units)
-        if not 0 <= idx < n_units:
-            raise ValueError(f"unit index {idx} outside 0..{n_units - 1}")
-        return {idx}
-    if pattern.mode == "burst":
-        start = pattern.unit_index if pattern.unit_index is not None else rng.randrange(n_units)
-        if not 0 <= start < n_units:
-            raise ValueError(f"unit index {start} outside 0..{n_units - 1}")
-        return set(range(start, min(start + pattern.burst_length, n_units)))
-    return {i for i in range(n_units) if rng.random() < pattern.drop_probability}
+    if pattern.mode == "random":
+        return {i for i in range(n_units) if rng.random() < pattern.drop_probability}
+    start = pattern.unit_index if pattern.unit_index is not None else rng.randrange(n_units)
+    if not 0 <= start < n_units:
+        raise ValueError(f"unit index {start} outside 0..{n_units - 1}")
+    length = pattern.burst_length if pattern.mode == "burst" else 1
+    return set(range(start, min(start + length, n_units)))
 
 
 class LossHarness:

@@ -100,21 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _codec_config(args, rate: float, channel_count: int = 1) -> encoder.EncoderConfig:
     """The EncoderConfig the add_codec_flags flags ask for, --resync-seconds counted at rate."""
-    if args.resync_samples is not None:
-        if args.resync_samples < 0:
-            raise ValueError("resync spacing cannot be negative")
-        interval = args.resync_samples
-    elif args.resync_seconds < 0:
+    samples, seconds = args.resync_samples, args.resync_seconds
+    if (seconds if samples is None else samples) < 0:
         raise ValueError("resync spacing cannot be negative")
-    else:
-        interval = int(round(args.resync_seconds * rate))
+    interval = int(round(seconds * rate)) if samples is None else samples
     return encoder.EncoderConfig(resync_interval_samples=interval, channel_count=channel_count, order=args.order)
 
 
 def _detect_format(path: Path, flag) -> str:
-    if flag:
-        return flag
-    return "csv" if path.suffix.lower() == ".csv" else "wfdb"
+    return flag or ("csv" if path.suffix.lower() == ".csv" else "wfdb")
 
 
 def _load_input(path: Path, fmt: str, channels_flag, rate: float):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -121,10 +121,8 @@ def _read_words(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
         raise TruncationError(f"payload holds {payload_len} bytes, counts require {need}")
     if payload_len > need:
         raise CountMismatchError(f"{payload_len - need} payload bytes beyond the declared frames")
-    channels = []
-    for nf in frame_counts:
-        channels.append(np.frombuffer(data, ">u2", nf, off))
-        off += 2 * nf
+    offsets = accumulate((2 * nf for nf in frame_counts), initial=off)
+    channels = [np.frombuffer(data, ">u2", nf, at) for nf, at in zip(frame_counts, offsets)]
     meta = RecordMeta(channel_count, rate, resync, order, sample_counts)
     return meta, channels
 

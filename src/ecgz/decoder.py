@@ -59,7 +59,7 @@ _COUNT_BY_TOP4 = sum(
 
 def parse_header(word: int) -> FrameType:
     """Classify a 16-bit frame word by its prefix-free header."""
-    if not 0 <= word <= 0xFFFF:
+    if not (isinstance(word, (int, np.integer)) and 0 <= word <= 0xFFFF):
         raise ValueError(_WORD_CHECK.format(word))
     count = int(_COUNT_BY_TOP4[word >> 12])
     if not count:

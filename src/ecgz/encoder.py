@@ -32,6 +32,14 @@ frames of each resync folded in at the few positions just before it.
 Pointer doubling over that table jumps 32 frames at a time, so a short
 loop collects one anchor per 32 frames, and gathers of the step table
 fill in the frames between anchors.
+
+The core runs at the datapath's widths. Samples and residuals are int16,
+which is exact: an order-L residual of 12-bit input, the L-th difference,
+spans at most 4095 * 2**(L-1) = 32,760, and each lower difference less.
+Width classes are int8, one gather from a 65,536-entry table indexed by
+the residual's uint16 bit pattern. The step tables and the packing
+gathers index with int32. Words are or-ed together from the uint16 bit
+patterns and widened to int64 once, at the end.
 """
 
 from __future__ import annotations
@@ -89,16 +97,17 @@ def min_width_class(e: int) -> int:
     return ESC
 
 
-# Width class by magnitude m (e for e >= 0, -e - 1 below), capped at 64.
-_WIDTH_BY_MAGNITUDE = np.array([min_width_class(m) for m in range(65)], dtype=np.int64)
 # Width class of e at index e + 64, for -64 <= e < 64; every other residual is ESC.
 _WIDTH_BY_RESIDUAL = [min_width_class(e) for e in range(-64, 64)]
+# The same classes for every int16 residual, indexed by its uint16 bit pattern.
+_WIDTH_TABLE = np.full(1 << 16, ESC, dtype=np.int8)
+_WIDTH_TABLE[np.arange(-64, 64) & 0xFFFF] = _WIDTH_BY_RESIDUAL
 
 
 def width_classes(errors: np.ndarray) -> np.ndarray:
-    """Vectorized min_width_class over an int64 residual array."""
-    e = np.asarray(errors, dtype=np.int64)
-    return _WIDTH_BY_MAGNITUDE[np.minimum(e ^ (e >> 63), 64)]
+    """Vectorized min_width_class as int8; residuals beyond int16 are ESC, so they are clipped to it."""
+    e = np.clip(np.asarray(errors), -(1 << 15), (1 << 15) - 1).astype(np.int16, copy=False)
+    return _WIDTH_TABLE[e.view(np.uint16)]
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ def _size_table() -> dict[int, int]:
     The sizes come from the array core's rule, so the streaming encoder
     and the core cannot disagree.
     """
-    classes = np.array([*WIDTH_CLASSES, ESC], dtype=np.int64)
+    classes = np.array([*WIDTH_CLASSES, ESC], dtype=np.int8)
     combos = classes[np.indices((classes.size,) * 6).reshape(6, -1).T]
     keys = combos @ (1 << np.arange(20, -1, -4))
     return dict(zip(keys.tolist(), _frame_counts(combos.ravel())[::6].tolist()))
@@ -146,9 +155,8 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
     if ftype.carries_original:
         return _PACKERS[1]([payload[0].original])
     w = ftype.field_width
-    half = 1 << (w - 1)
     for p in payload:
-        if not -half <= p.error < half:
+        if min_width_class(p.error) > w:
             raise AssertionError(f"residual {p.error} overflows a {w}-bit field; selection must prevent this")
     return _PACKERS[ftype.field_count]([p.error for p in payload])
 
@@ -215,7 +223,8 @@ class ChannelEncoder:
 
     def flush(self) -> list[int]:
         """Drain the queue at end of input, greedily: a pending resync does not apply."""
-        x, err = np.array(self._xs, dtype=np.int64), np.array(self._es, dtype=np.int64)
+        x = predictor.int_array(self._xs, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK).astype(np.int16)
+        err = np.array(self._es, dtype=np.int16)
         self._xs, self._es = [], []
         return _pack(x, err, _frame_walk(_frame_counts(width_classes(err)), 0, 0)).tolist()
 
@@ -231,7 +240,7 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     Widths past the end are padded above ESC, so the same table serves
     the final flush, where only types that fit the short queue qualify.
     """
-    w = np.concatenate([widths, np.full(6, ESC + 1)]).astype(np.int8)
+    w = np.concatenate([widths, np.full(6, ESC + 1, dtype=widths.dtype)])
     widest = {2: np.maximum(w[:-1], w[1:])}  # widest[k][i]: widest of the k samples from i
     widest[3] = np.maximum(widest[2][:-1], w[2:])
     widest[4] = np.maximum(widest[3][:-1], w[3:])
@@ -240,6 +249,11 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     for ft in reversed(PRIORITY[:-1]):  # the densest type is written last and wins
         counts[widest[ft.field_count][: widths.size] <= ft.field_width] = ft.field_count
     return counts
+
+
+def _index_type(n: int) -> type:
+    """Index dtype for arrays of n entries: int32 halves the tables of any real record."""
+    return np.int32 if n < 1 << 31 else np.int64
 
 
 # The doubling table jumps 2**_DOUBLINGS frames; a Python loop steps over
@@ -285,7 +299,7 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
     """
     n = counts.size
     last = n - 5  # frames from here on go out in the flush
-    index_type = np.int32 if n < 1 << 31 else np.int64  # int32 halves the tables of any real record
+    index_type = _index_type(n)
     step = np.arange(n + 1, dtype=index_type)  # step[n] = n ends every chain
     step[:n] += counts
     start, froms = 0, np.zeros(0, dtype=np.int64)
@@ -343,23 +357,26 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     (_frame_counts), and the step table with its pointer doubling every
     frame start (_frame_walk); _pack packs each type in one numpy pass.
     """
-    err = predictor.residuals(samples, cfg.order)  # validates sample range
+    x, err = predictor.narrow_residuals(samples, cfg.order)  # validates sample range
     starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
-    return _pack(np.asarray(samples, dtype=np.int64), err, starts), np.minimum(starts + 5, err.size)
+    return _pack(x, err, starts), np.minimum(starts + 5, err.size)
 
 
 def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Frame words, as int64, of the frames that start at starts.
+    """Frame words, as int64, of the frames that start at starts; x and err are int16.
 
     The sizes between starts name the types; each type is one _PACKERS
-    call on its frames' fields, gathered as one array per field.
+    call on its frames' fields, gathered as one uint16 array per field.
     """
     sizes = np.diff(starts, append=err.size)
-    words = np.zeros(starts.size, dtype=np.int64)
+    starts = starts.astype(_index_type(err.size))
+    xu, eu = x.view(np.uint16), err.view(np.uint16)
+    words = np.zeros(starts.size, dtype=np.uint16)
     for count in _TYPE_BY_COUNT:  # one pass per type
-        sel = sizes == count
-        words[sel] = _PACKERS[count]((x if count == 1 else err)[starts[sel] + np.arange(count)[:, None]])
-    return words
+        frames = np.flatnonzero(sizes == count)  # integer indices gather faster than a boolean mask
+        at = starts.take(frames) + np.arange(count, dtype=starts.dtype)[:, None]
+        words[frames] = _PACKERS[count]((xu if count == 1 else eu).take(at))
+    return words.astype(np.int64)
 
 
 @dataclass
@@ -423,7 +440,6 @@ def _encode_equal(channels: Sequence[Sequence[int]], cfg: EncoderConfig) -> list
     """encode_channels as each channel's (words, emission positions) int64 arrays."""
     if len(channels) != cfg.channel_count:
         raise ValueError(f"got {len(channels)} channels but config says {cfg.channel_count}")
-    lengths = {len(c) for c in channels}
-    if len(lengths) > 1:
+    if len({len(c) for c in channels}) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
     return [_encode_arrays(samples, cfg) for samples in channels]

@@ -50,9 +50,8 @@ class WfdbRecord:
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def parse_wfdb_header(text: str) -> WfdbRecord:
@@ -166,9 +165,7 @@ def normalize_to_12bit(raw_signals: Sequence[np.ndarray], record: WfdbRecord) ->
 
 def load_record(path: str | Path) -> tuple[WfdbRecord, list[np.ndarray]]:
     """Read <record>.hea plus its signal file and return centered channels."""
-    head = Path(path)
-    if head.suffix != ".hea":
-        head = head.with_suffix(".hea")
+    head = Path(path).with_suffix(".hea")
     record = parse_wfdb_header(head.read_text())
     dat_names = {s.file_name for s in record.signals}
     if len(dat_names) != 1:

@@ -67,7 +67,10 @@ def int_array(values, lo: int, hi: int, message: str) -> np.ndarray:
             values = np.frombuffer(array("q", values), dtype=np.int64)
         except (TypeError, OverflowError):
             pass
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged, such as a list holding an array: searched as given
+        arr = np.asarray(values, dtype=object)
     if arr.dtype.kind not in "biu":
         try:  # a float raises TypeError, an int beyond int64 OverflowError
             arr = np.frombuffer(array("q", arr.ravel().tolist()), dtype=np.int64).reshape(arr.shape)
@@ -87,23 +90,21 @@ def zero_state(order: int) -> list[int]:
     return [0] * len(coefficients(order))
 
 
-def residuals(samples: Sequence[int], order: int) -> np.ndarray:
-    """Residual sequence for a whole channel, zero-initialized history.
+def narrow_residuals(samples: Sequence[int], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples and their residuals as int16: the L-th difference after L zeros of history.
 
-    Each residual is the sample minus the fixed-coefficient prediction
-    from the L samples before it; returns int64 so no intermediate can
-    overflow.
+    int16 is exact, as residual_bits says: an order-L residual spans at most 4095 * 2**(L-1).
     """
-    coef = coefficients(order)
-    x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK)
+    L = len(coefficients(order))
+    x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK).astype(np.int16)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    L = len(coef)
-    padded = np.concatenate([np.zeros(L, dtype=np.int64), x])
-    predicted = np.zeros(x.size, dtype=np.int64)
-    for k, a in enumerate(coef, start=1):
-        predicted += a * padded[L - k : L - k + x.size]
-    return x - predicted
+    return x, np.diff(x, n=L, prepend=np.zeros(L, dtype=np.int16))
+
+
+def residuals(samples: Sequence[int], order: int) -> np.ndarray:
+    """Residual sequence for a whole channel, zero-initialized history, as int64 (narrow_residuals)."""
+    return narrow_residuals(samples, order)[1].astype(np.int64)
 
 
 def mape(samples: Sequence[int], order: int) -> float:

@@ -53,22 +53,27 @@ def _config(order, interval, e_frames):
     return EncoderConfig(resync_interval_samples=interval, order=order, resync_e_frames=e_frames)
 
 
-@settings(max_examples=150, deadline=None)
-@given(cases)
-def test_encoder_core_matches_the_streaming_encoder(case):
-    kind, seed, n, order, interval, e_frames = case
-    xs = _signal(kind, seed, n)
-    enc = encoder.ChannelEncoder(_config(order, interval, e_frames))
+def _streamed(enc, xs):
+    """Words and emission positions of a streaming encoder over xs, the flush at len(xs)."""
     words, positions = [], []
     for i, x in enumerate(xs):
         emitted = enc.push_sample(x)
         words += emitted
         positions += [i] * len(emitted)
     tail = enc.flush()
-    words += tail
-    positions += [n] * len(tail)
-    got = encoder._encode_arrays(xs, _config(order, interval, e_frames))
-    assert (got[0].tolist(), got[1].tolist()) == (words, positions)
+    return words + tail, positions + [len(xs)] * len(tail)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases)
+def test_encoder_core_matches_the_streaming_encoder(case):
+    kind, seed, n, order, interval, e_frames = case
+    xs = _signal(kind, seed, n)
+    cfg = _config(order, interval, e_frames)
+    got = encoder._encode_arrays(xs, cfg)
+    assert got[0].dtype == got[1].dtype == np.int64
+    assert (got[0].tolist(), got[1].tolist()) == _streamed(encoder.ChannelEncoder(cfg), xs)
+    assert (got[0].tolist(), got[1].tolist()) == _streamed(ChannelEncoderScalar(cfg), xs)
 
 
 def _walk_widths(kind: str, n: int, seed: int) -> np.ndarray:
@@ -389,7 +394,46 @@ def test_a_run_past_2_to_the_21_round_trips(order):
     ],
     ids=["encode_channel", "encode_channels", "encode_multichannel", "decode_channel", "decode_resilient"],
 )
-@pytest.mark.parametrize("value", [5.7, 12293.5, 5.0, 1 << 63, -(1 << 70)])
+# an array in a list makes numpy read the list as ragged; the message still names the array
+@pytest.mark.parametrize("value", [5.7, 12293.5, 5.0, 1 << 63, -(1 << 70), np.array([12292])])
 def test_array_entry_points_reject_what_is_not_an_integer(call, what, value):
     with pytest.raises(ValueError, match=f"^{what} {re.escape(repr(value))} "):
         call(value)
+
+
+# ---------------------------------------------------------------------------
+# The encoder core's word widths: int16 samples and residuals, int8 width
+# classes, uint16 words
+
+
+def test_width_table_matches_min_width_class_for_every_int16_residual():
+    e = np.arange(-(1 << 15), 1 << 15)
+    expected = [encoder.min_width_class(v) for v in e.tolist()]
+    assert encoder._WIDTH_TABLE.dtype == np.int8 and encoder._WIDTH_TABLE.size == 1 << 16
+    assert encoder._WIDTH_TABLE[e & 0xFFFF].tolist() == expected
+    assert encoder.width_classes(e.astype(np.int16)).tolist() == expected
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("interval", [0, 3, 7, 1440])
+def test_encoder_core_matches_the_scalar_encoder_rail_to_rail(order, interval):
+    # alternating rails give the widest residual of each order: +-32,760 at order 4
+    rails = [predictor.SAMPLE_MAX, predictor.SAMPLE_MIN] * 800
+    assert np.abs(predictor.residuals(rails, order)).max() == 4095 << (order - 1)
+    for n, e_frames in itertools.product([*range(7), len(rails)], (1, 2)):
+        cfg = _config(order, interval, e_frames)
+        words, positions = encoder._encode_arrays(rails[:n], cfg)
+        assert (words.tolist(), positions.tolist()) == _streamed(ChannelEncoderScalar(cfg), rails[:n]), n
+
+
+def test_narrow_residuals_and_width_classes_past_int16():
+    xs = _signal("walk", 5, 500)
+    for order in (1, 2, 3, 4):
+        x, err = predictor.narrow_residuals(xs, order)
+        assert x.dtype == err.dtype == np.int16
+        assert x.tolist() == xs and err.tolist() == predictor.residuals(xs, order).tolist()
+    # residuals past int16 are ESC, as the magnitude lookup before the table gave them
+    e = np.array([0, 1, -2, 63, -64, 64, -65, 32767, -32768, 32768, -32769, 1 << 40, -(1 << 62), 2**63 - 1, -(2**63)])
+    magnitude = np.minimum(e ^ (e >> 63), 64)
+    assert encoder.width_classes(e).tolist() == [encoder.min_width_class(int(m)) for m in magnitude]
+    assert encoder.width_classes([]).size == 0

@@ -298,13 +298,15 @@ def _resilient_outcome(decode, frames, count):
     "frames",
     [
         [0x3003, None, 0x3004, -0.5, 0x3005],  # a float
+        [0x3003, None, 0x3004, 12293.5, 0x3005],  # a float inside the 16-bit range
+        [0x3003, None, 0x3004, np.array([0x3004]), 0x3005],  # an array
         [0x3003, None, 0x3004, 1 << 70, 0x3005],  # an int beyond int64
         [0x3003, None, 0x3004, 0x1FFFF, 0x3005],  # 17 bits
         [0x3003, None, 0x3004, -3, 0x3005],  # negative
         [None] * 4,
         [0x3003, None, 0x3004, None, 0x0123],
     ],
-    ids=["float", "beyond_int64", "17_bits", "negative", "all_lost", "valid"],
+    ids=["float", "float_in_range", "array", "beyond_int64", "17_bits", "negative", "all_lost", "valid"],
 )
 @pytest.mark.parametrize("as_generator", [False, True])
 def test_resilient_input_checks_match_the_scalar_oracle(frames, as_generator):

@@ -62,6 +62,20 @@ def test_vectorized_width_classes_match_scalar(errors):
     assert got.tolist() == [encoder.min_width_class(e) for e in errors]
 
 
+def test_flush_rejects_a_queued_float_at_every_queue_depth():
+    # the float's residual is wide, so no push packs it and it waits in the queue for the flush
+    depths = set()
+    for prefix in range(12):
+        enc = encoder.ChannelEncoder(EncoderConfig(resync_interval_samples=0))
+        for x in range(prefix):
+            enc.push_sample(x)
+        enc.push_sample(1000.5)
+        depths.add(len(enc._xs))
+        with pytest.raises(ValueError, match=r"^sample 1000\.5 is not an integer"):
+            enc.flush()
+    assert depths == {1, 2, 3, 4, 5}
+
+
 # ---------------------------------------------------------------------------
 # Frame table structure
 
