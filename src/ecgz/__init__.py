@@ -51,7 +51,7 @@ def decompress(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
 
 
 def _decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
-    """decompress with each channel's samples as an int64 array."""
+    """decompress with each channel's samples as an int16 array."""
     meta, channel_words = container._read_words(data)
     channels = [
         decoder._decode_words(words, count, meta.predictor_order)

@@ -44,11 +44,14 @@ def discover_records(directory: str | Path) -> list[Path]:
 def _load_records(
     record_paths: Iterable[str | Path], missing: list[str]
 ) -> Iterator[tuple[ingest.WfdbRecord, list[np.ndarray]]]:
-    """(record, channels) for each readable record; the others' errors go to missing."""
+    """(record, channels) for each readable record; the others' errors go to missing.
+
+    A record is unreadable on a file error, a malformed header, or a lead that does not centre.
+    """
     for path in record_paths:
         try:
             yield ingest.load_record(path)
-        except (OSError, WfdbParseError) as exc:
+        except (OSError, WfdbParseError, ValueError) as exc:
             missing.append(f"{path}: {exc}")
 
 

@@ -11,8 +11,8 @@ fewer than L raw samples apart chain, which makes the last L outputs of
 the runs an affine recurrence over runs; one doubling scan solves it for
 every run at once. With those in place, the L-th differences of the
 output at every raw sample and L cumulative sums rebuild the stream, in
-wrapping int64 arithmetic that is exact up to the first out-of-range
-sample.
+wrapping int16 arithmetic that is exact up to the first out-of-range
+sample (_rebuild says why).
 
 decode_channel is the lossless path: the stream must account for
 exactly the declared sample count, and any defect raises.
@@ -103,7 +103,7 @@ def _sample_counts(words: np.ndarray) -> np.ndarray:
 def _rebuild(
     words: np.ndarray, counts: np.ndarray, lost: np.ndarray, stop: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode frames [0, stop) into (samples, known) int64 and bool arrays.
+    """Decode frames [0, stop) into (samples, known) int16 and bool arrays.
 
     counts holds each frame's sample count, 0 for the erased frames that
     lost marks. A sample is known when it is raw, or when a run of L
@@ -112,18 +112,21 @@ def _rebuild(
     junk. Raises CorruptStreamError for the first known sample outside
     the 12-bit range.
 
-    The rebuild runs in wrapping int64 arithmetic, so every output is
-    exact mod 2**64. Each sample is L bounded predictor terms plus a
-    field away from the L samples before it, so up to and including the
-    first out-of-range sample every true value fits int64 and comes out
-    exact, and the error names that value. Samples after it may wrap.
+    The rebuild runs in wrapping int16 arithmetic. Every step is a ring
+    operation (sums, differences, products with integer weights), so
+    every output is exact mod 2**16. Each sample is L predictor terms
+    plus a field of at most 7 bits away from the L samples before it, so
+    up to and including the first out-of-range sample every true value
+    is at most (2**L - 1) * 2048 + 64 = 30,784 in magnitude, fits int16
+    and comes out exact, and the error names that value. Samples after
+    it may wrap.
     """
     L = len(predictor.coefficients(order))
     words, counts, lost = words[:stop], counts[:stop], lost[:stop]
     starts = np.cumsum(counts) - counts + L  # buffer index of each frame's first sample
     n = int(starts[-1] + counts[-1]) if stop else L
 
-    buf = np.zeros(n, dtype=np.int64)  # L zeros of history, then every field
+    buf = np.zeros(n, dtype=np.int16)  # L zeros of history, then every field
     # output sample i is field i - (starts - L) of its frame, at 6 * word + field in the flat table
     at = np.repeat(6 * words - (starts - L), counts)
     at += np.arange(n - L)
@@ -139,7 +142,7 @@ def _rebuild(
     # before it: the last L samples of all runs at once (_run_exits), then
     # the L-th difference of the output at every raw position, beside the
     # residuals, which are L-th differences already. L cumulative sums
-    # restore every sample, exact mod 2**64. Runs after an erasure come out
+    # restore every sample, exact mod 2**16. Runs after an erasure come out
     # as if nothing were lost, which is junk until L raw samples resync;
     # no known sample depends on them.
     if firsts.size:
@@ -154,7 +157,7 @@ def _rebuild(
         buf[exits] = saved
         buf[raw] = delta
         for _ in range(L):
-            np.cumsum(buf, out=buf)
+            np.cumsum(buf, out=buf, dtype=np.int16)
     lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
     out, known = buf[L:], known[L:]
     wrong = _first(known & ((out < lo) | (out > hi)))
@@ -192,7 +195,7 @@ def _known(is_raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.n
 
 
 def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
-    """The samples in each run's exit window, as an (R, L) int64 array exact mod 2**64.
+    """The samples in each run's exit window, as an (R, L) int16 array exact mod 2**16.
 
     Run r holds residuals at firsts[r]..lasts[r]; its entry window is the
     L samples before it, its exit window its last L samples. Let F be the
@@ -202,29 +205,31 @@ def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -
     previous run's exit window when fewer than L raw samples separate
     the runs. That makes the exits an affine recurrence over runs,
     exit_r = P_r exit_(r-1) + q_r, solved by Hillis-Steele doubling over
-    batched matrix products (numpy's integer matmul wraps like the rest).
-    P_r is 0 after a gap of L raw samples, and the scan stops once every
-    composed P is. Composed maps also lose factors of 2, so along the
-    chains of real streams they reach 0 mod 2**64 within a few hundred runs.
+    batched int16 matrix products (numpy's integer matmul wraps like the
+    rest). P_r is 0 after a gap of L raw samples, and the scan stops once
+    every composed P is. Composed maps also lose factors of 2, so along
+    the chains of real streams they reach 0 mod 2**16 within about a
+    hundred runs.
     """
     R, win = firsts.size, np.arange(L)
     entry = firsts[:, None] - L + win
     # F at the window positions. The windows' first samples, entry then exit
     # window of each run in turn, strictly increase: one reduceat over the
     # (L-1)-fold running sum gives F just before each, a short cumsum the rest.
-    G = buf
+    G, i16 = buf, np.int16
     for k in range(L - 1):
-        G = np.cumsum(G, out=G if k else None)
+        G = np.cumsum(G, out=G if k else None, dtype=i16)
     starts = np.stack([firsts - L, lasts - L + 1], axis=1).ravel()
-    before = np.cumsum(np.concatenate([[G[: starts[0]].sum()], np.add.reduceat(G[: starts[-1]], starts[:-1])]))
-    F = (before[:, None] + np.cumsum(G[starts[:, None] + win], axis=1)).reshape(R, 2, L)
+    sums = [[G[: starts[0]].sum(dtype=i16)], np.add.reduceat(G[: starts[-1]], starts[:-1], dtype=i16)]
+    before = np.cumsum(np.concatenate(sums), dtype=i16)
+    F = (before[:, None] + np.cumsum(G[starts[:, None] + win], axis=1, dtype=i16)).reshape(R, 2, L)
     M = _lagrange_maps(lasts - firsts + 1, L)
     gaps = firsts - np.concatenate([[-L - 1], lasts[:-1]]) - 1  # raw samples before each run
     # entry sample l is exit sample l + gap of the run before when l + gap < L, else raw
     shift = win == win[:, None] + gaps[:, None, None]
     raw_part = np.where(win >= L - gaps[:, None], buf[entry], 0)
     # (L+1)-square affine maps from the exit window before each run to its own
-    T = np.zeros((R, L + 1, L + 1), dtype=np.int64)
+    T = np.zeros((R, L + 1, L + 1), dtype=i16)
     T[:, :L, :L] = M @ shift
     T[:, :L, L] = F[:, 1] + (M @ (raw_part - F[:, 0])[:, :, None])[:, :, 0]
     T[:, L, L] = 1
@@ -238,16 +243,18 @@ def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -
 
 
 def _lagrange_maps(lengths: np.ndarray, L: int) -> np.ndarray:
-    """(R, L, L) maps from the entry to the exit window of runs of these lengths, mod 2**64.
+    """(R, L, L) int16 maps from the entry to the exit window of runs of these lengths, mod 2**16.
 
     Exit sample j lies u = length + j past the entry window's start. Where
     u < L it is entry sample u; otherwise row j holds the Lagrange weights
     beta_l(u - L) = (-1)**(L-1-l) C(u, l) C(u-l-1, L-1-l) of the degree
-    L - 1 polynomial through the entry window.
+    L - 1 polynomial through the entry window. The weights are products
+    in int64, exact mod 2**64, stored mod 2**16: the halving in _binomial
+    needs the bits above 16 of v.
     """
     u = lengths[:, None] + np.arange(L)
     v = np.maximum(u, L)
-    M = np.empty(u.shape + (L,), dtype=np.int64)
+    M = np.empty(u.shape + (L,), dtype=np.int16)
     for l in range(L):
         M[:, :, l] = (-1) ** (L - 1 - l) * _binomial(v, l) * _binomial(v - l - 1, L - 1 - l)
     short = u < L
@@ -289,7 +296,7 @@ def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -
 
 
 def _decode_words(frames: Sequence[int], expected_count: int, order: int) -> np.ndarray:
-    """decode_channel returning an int64 array; frames may be a list or an integer array."""
+    """decode_channel returning an int16 array; frames may be a list or an integer array."""
     words = predictor.int_array(frames, *_INT64, _WORD_CHECK)  # the 16-bit range is checked in stream order
     counts = _sample_counts(words)
     bad_word, surplus = _first(counts == 0), _first(np.cumsum(counts) > expected_count)
@@ -346,7 +353,7 @@ def decode_resilient(
 def _decode_erasures(
     words: np.ndarray, lost: np.ndarray, expected_count: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """decode_resilient as arrays: (samples, known) over the received frames' samples.
+    """decode_resilient as arrays: (samples, known), int16 and bool, over the received frames' samples.
 
     words is an int64 array of frame words and lost the bool mask of the
     erased frames, whose words are ignored.

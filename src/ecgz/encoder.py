@@ -38,8 +38,9 @@ which is exact: an order-L residual of 12-bit input, the L-th difference,
 spans at most 4095 * 2**(L-1) = 32,760, and each lower difference less.
 Width classes are int8, one gather from a 65,536-entry table indexed by
 the residual's uint16 bit pattern. The step tables and the packing
-gathers index with int32. Words are or-ed together from the uint16 bit
-patterns and widened to int64 once, at the end.
+gathers index with intp, numpy's own index type: take converts any
+other index to a fresh intp copy first. Words are or-ed together from
+the uint16 bit patterns and widened to int64 once, at the end.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ class ChannelEncoder:
 
     def flush(self) -> list[int]:
         """Drain the queue at end of input, greedily: a pending resync does not apply."""
-        x = predictor.int_array(self._xs, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK).astype(np.int16)
+        x = predictor.int_array(self._xs, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK, np.int16)
         err = np.array(self._es, dtype=np.int16)
         self._xs, self._es = [], []
         return _pack(x, err, _frame_walk(_frame_counts(width_classes(err)), 0, 0)).tolist()
@@ -249,11 +250,6 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     for ft in reversed(PRIORITY[:-1]):  # the densest type is written last and wins
         counts[widest[ft.field_count][: widths.size] <= ft.field_width] = ft.field_count
     return counts
-
-
-def _index_type(n: int) -> type:
-    """Index dtype for arrays of n entries: int32 halves the tables of any real record."""
-    return np.int32 if n < 1 << 31 else np.int64
 
 
 # The doubling table jumps 2**_DOUBLINGS frames; a Python loop steps over
@@ -299,8 +295,7 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
     """
     n = counts.size
     last = n - 5  # frames from here on go out in the flush
-    index_type = _index_type(n)
-    step = np.arange(n + 1, dtype=index_type)  # step[n] = n ends every chain
+    step = np.arange(n + 1, dtype=np.intp)  # step[n] = n ends every chain
     step[:n] += counts
     start, froms = 0, np.zeros(0, dtype=np.int64)
     if interval and last > max(interval - 5, 0):  # a resync fires before the flush
@@ -329,13 +324,13 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
             a = jumps[a]
         del jumps, jump
     # row k: k frames past each anchor
-    chain = np.empty((min(1 << _DOUBLINGS, n - start + 1), len(anchors)), dtype=index_type)
+    chain = np.empty((min(1 << _DOUBLINGS, n - start + 1), len(anchors)), dtype=np.intp)
     chain[0] = anchors
     rows = list(chain)
     for prev, row in zip(rows, rows[1:]):
         step.take(prev, out=row, mode="clip")
     chain = chain.T.ravel()
-    starts = chain[: np.searchsorted(chain, n)].astype(np.int64)
+    starts = chain[: np.searchsorted(chain, n)]
     if froms.size:  # the forced frames follow each from that the chain takes
         at = np.searchsorted(starts, froms)
         taken = starts[np.minimum(at, starts.size - 1)] == froms  # starts is not empty when froms is not
@@ -369,7 +364,6 @@ def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
     call on its frames' fields, gathered as one uint16 array per field.
     """
     sizes = np.diff(starts, append=err.size)
-    starts = starts.astype(_index_type(err.size))
     xu, eu = x.view(np.uint16), err.view(np.uint16)
     words = np.zeros(starts.size, dtype=np.uint16)
     for count in _TYPE_BY_COUNT:  # one pass per type

@@ -10,7 +10,8 @@ into three bytes:
     sample 2k+1 = byte[3k+2] | high nibble of byte[3k+1] << 8
 
 Samples interleave across signals fastest, one frame of all signals per
-time step.
+time step. The bytes unpack into int16, and the leads stay int16 through
+centring on their baselines: the width the codec core works in.
 """
 
 from __future__ import annotations
@@ -127,8 +128,14 @@ def _parse_gain(lineno: int, token: str) -> tuple[float, int | None]:
         raise WfdbParseError(f"line {lineno}: malformed gain field {token!r}") from None
 
 
+# A format-212 triplet: bytes 3k and 3k+1 as one little-endian word (sample
+# 2k in its low 12 bits, the high nibble of sample 2k+1 in its top 4), then
+# byte 3k+2 (the low byte of sample 2k+1).
+_TRIPLET = np.dtype([("low", "<u2"), ("high", "u1")])
+
+
 def read_format212(data: bytes, n_samples: int, n_signals: int) -> list[np.ndarray]:
-    """Unpack interleaved format-212 bytes into one int array per signal."""
+    """Unpack interleaved format-212 bytes into one int16 array per signal."""
     if n_samples < 0 or n_signals < 1:
         raise ValueError("need a non-negative sample count and at least one signal")
     total = n_samples * n_signals
@@ -136,35 +143,40 @@ def read_format212(data: bytes, n_samples: int, n_signals: int) -> list[np.ndarr
     if len(data) < need:
         raise TruncationError(f"signal file holds {len(data)} bytes, {need} required")
     ntrip = (total + 1) // 2
-    buf = np.zeros(3 * ntrip, dtype=np.uint8)
-    take = min(len(data), 3 * ntrip)
-    buf[:take] = np.frombuffer(data[:take], dtype=np.uint8)
-    trip = buf.reshape(ntrip, 3).astype(np.int16)
-    values = np.empty((ntrip, 2), dtype=np.int16)
-    values[:, 0] = trip[:, 0] | (trip[:, 1] & 0x0F) << 8
-    values[:, 1] = trip[:, 2] | (trip[:, 1] & 0xF0) << 4
-    values = ((values << 4) >> 4).ravel()[:total]  # 12-bit two's complement, sign-extended
-    return [values[k::n_signals].astype(np.int64) for k in range(n_signals)]
+    trip = np.frombuffer(data.ljust(3 * ntrip, b"\0"), dtype=_TRIPLET, count=ntrip)
+    words = np.empty((ntrip, 2), dtype=np.uint16)  # each sample's 12 bits at the top of a word
+    np.left_shift(trip["low"], 4, out=words[:, 0])
+    np.bitwise_and(trip["low"], 0xF000, out=words[:, 1])
+    words[:, 1] |= trip["high"].astype(np.uint16) << 4
+    values = words.view(np.int16).ravel()[:total]
+    values >>= 4  # the arithmetic shift sign-extends
+    return [values[k::n_signals] for k in range(n_signals)]
 
 
 def normalize_to_12bit(raw_signals: Sequence[np.ndarray], record: WfdbRecord) -> list[np.ndarray]:
-    """Center each signal on its baseline so values sit in the codec range."""
+    """Center each signal on its baseline, as int16, so values sit in the codec range.
+
+    The range check compares Python ints, so a baseline of any size gets its
+    ValueError. After it every centred value fits int16, so the subtraction
+    runs in int16 with the baseline taken mod 2**16, exact in the result.
+    """
     if len(raw_signals) != record.signal_count:
         raise ValueError(f"record has {record.signal_count} signals, got {len(raw_signals)} arrays")
     out = []
     for spec, raw in zip(record.signals, raw_signals):
-        v = np.asarray(raw, dtype=np.int64) - spec.baseline
-        if v.size and (v.min() < SAMPLE_MIN or v.max() > SAMPLE_MAX):
+        raw = np.asarray(raw)
+        if raw.size and not SAMPLE_MIN <= int(raw.min()) - spec.baseline <= int(raw.max()) - spec.baseline <= SAMPLE_MAX:
             raise ValueError(
                 f"signal {spec.file_name}:{spec.description or '?'} leaves "
                 f"{SAMPLE_MIN}..{SAMPLE_MAX} after centering on {spec.baseline}"
             )
-        out.append(v)
+        baseline = (spec.baseline + (1 << 15)) % (1 << 16) - (1 << 15)
+        out.append(np.subtract(raw.astype(np.int16, copy=False), baseline, dtype=np.int16))
     return out
 
 
 def load_record(path: str | Path) -> tuple[WfdbRecord, list[np.ndarray]]:
-    """Read <record>.hea plus its signal file and return centered channels."""
+    """Read <record>.hea plus its signal file and return the centred leads as int16 arrays."""
     head = Path(path).with_suffix(".hea")
     record = parse_wfdb_header(head.read_text())
     dat_names = {s.file_name for s in record.signals}

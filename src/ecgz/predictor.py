@@ -53,14 +53,14 @@ def residual_bits(order: int) -> int:
     return SAMPLE_BITS + len(coefficients(order))
 
 
-def int_array(values, lo: int, hi: int, message: str) -> np.ndarray:
-    """values as an int64 array; ValueError for the first that is not an integer in lo..hi.
+def int_array(values, lo: int, hi: int, message: str, dtype=np.int64) -> np.ndarray:
+    """values as an integer array of dtype; ValueError for the first that is not an integer in lo..hi.
 
     message is formatted with the offending value. An integer array costs
     a min and a max, and so does a list of ints, read through array("q").
     Anything else (floats, ints too wide for int64, a mix of objects)
     converts exactly, as array("q") does, or is searched for the first
-    offender.
+    offender. lo..hi must fit dtype; an array of that dtype is returned as is.
     """
     if isinstance(values, list):
         try:  # a float raises TypeError, an int beyond int64 OverflowError
@@ -79,7 +79,7 @@ def int_array(values, lo: int, hi: int, message: str) -> np.ndarray:
     if arr.dtype == object or arr.size and (arr.min() < lo or arr.max() > hi):
         bad = (v for v in arr.ravel().tolist() if not (isinstance(v, (int, np.integer)) and lo <= v <= hi))
         raise ValueError(message.format(next(bad)))
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 SAMPLE_CHECK = f"sample {{!r}} is not an integer in {SAMPLE_MIN}..{SAMPLE_MAX}"
@@ -94,9 +94,10 @@ def narrow_residuals(samples: Sequence[int], order: int) -> tuple[np.ndarray, np
     """The samples and their residuals as int16: the L-th difference after L zeros of history.
 
     int16 is exact, as residual_bits says: an order-L residual spans at most 4095 * 2**(L-1).
+    int16 samples are range-checked and used as they are.
     """
     L = len(coefficients(order))
-    x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK).astype(np.int16)
+    x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK, np.int16)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
     return x, np.diff(x, n=L, prepend=np.zeros(L, dtype=np.int16))

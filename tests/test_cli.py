@@ -13,7 +13,7 @@ import ecgz
 from ecgz import cli, container, encoder
 from ecgz.errors import ReservedHeaderError
 from oracle import write_csv_scalar
-from test_ingest import write_record
+from test_ingest import pack212, write_record
 
 
 def write_csv(path, channels):
@@ -222,6 +222,27 @@ def test_bench_skips_a_malformed_header_wherever_it_sorts(tmp_path, capsys):
         (tmp_path / f"{bad}.hea").unlink()
 
 
+@pytest.mark.parametrize("baseline", [10**23, 40_000])
+def test_a_baseline_that_does_not_centre_is_reported_not_raised(tmp_path, capsys, baseline):
+    # a baseline beyond int64 once escaped as an OverflowError; one that only fails to
+    # centre stopped ecgz bench for the whole directory
+    write_record(tmp_path, "g0", [[0, 5, -7, 100, -100, 3]])
+    (tmp_path / "h0.hea").write_text(f"h0 1 360 6\nh0.dat 212 200({baseline}) 12 0 5 42189 0 lead0\n")
+    (tmp_path / "h0.dat").write_bytes(pack212([5, 6, 7, 8, 9, 10]))
+    reason = f"signal h0.dat:lead0 leaves -2048..2047 after centering on {baseline}"
+    packed = tmp_path / "g0.ecgz"
+    assert cli.main(["compress", str(tmp_path / "g0"), str(packed)]) == 0
+    capsys.readouterr()
+    assert cli.main(["compress", str(tmp_path / "h0"), str(tmp_path / "h0.ecgz")]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert cli.main(["verify", str(tmp_path / "h0"), str(packed)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert cli.main(["bench", "--data", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"skipped: {tmp_path / 'h0'}: {reason}\n"
+    assert [line.split()[0] for line in captured.out.splitlines()[1:2]] == ["g0"]
+
+
 def test_bench_scales_the_resync_interval_by_each_records_rate(tmp_path, capsys):
     # at the default 4 s, a (500 Hz) resyncs every 2,000 samples and b (125 Hz) every 500
     rng = np.random.default_rng(9)
@@ -273,6 +294,19 @@ def test_decompressed_csv_matches_the_percent_d_writer(lengths, chunk_rows, seed
             assert not (Path(tmp) / "out.csv").exists()
         got, expected = _decompress_both_ways(Path(tmp), [min(lengths)] * len(lengths), seed, chunk_rows)
     assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_csv_bytes_of_int16_columns_match_the_percent_d_writer(nch, rows, seed):
+    # the decoder hands int16 columns to the CSV writer, which gathers its cells through intp
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(-2048, 2048, size=rows).astype(np.int16) for _ in range(nch)]
+    columns[-1][: min(rows, 2)] = [-2048, 2047][:rows]  # the range ends
+    with tempfile.TemporaryDirectory() as tmp:
+        expected = Path(tmp) / "expected.csv"
+        write_csv_scalar(expected, columns, max(rows, 1))
+        assert cli._csv_bytes(columns) == expected.read_bytes()
 
 
 def test_decompressed_csv_crosses_the_write_chunk(tmp_path):

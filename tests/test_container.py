@@ -76,7 +76,7 @@ def test_container_round_trip(nch, seed, n, interval):
     assert decoded == chans
     meta_arrays, arrays = ecgz._decompress(blob)
     assert meta_arrays == meta
-    assert all(a.dtype == np.int64 for a in arrays) and [a.tolist() for a in arrays] == chans
+    assert all(a.dtype == np.int16 for a in arrays) and [a.tolist() for a in arrays] == chans
     # without a config, compress resyncs every 2,048 samples at order 2
     assert ecgz.compress(chans, 250) == ecgz.compress(chans, 250, encoder.EncoderConfig(channel_count=nch))
 

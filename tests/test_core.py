@@ -262,13 +262,75 @@ def test_first_bad_sample_is_exact_where_int64_wraps():
             assert str(core.value) == str(oracle.value)
 
 
+# The rebuild runs in int16. Its headroom: the first out-of-range known sample
+# is L predictor terms over in-range samples plus a field of at most 7 bits,
+# at most (2**L - 1) * 2048 + 64 in magnitude (30,784 at order 4).
+
+
+def _rail_history(order: int, sign: int) -> list[int]:
+    """L samples at the rails, oldest first, that push the order-L prediction furthest toward sign."""
+    return [2047 if a * sign > 0 else -2048 for a in reversed(predictor.coefficients(order))]
+
+
+def _predict(history: list[int], order: int) -> int:
+    return sum(a * h for a, h in zip(predictor.coefficients(order), reversed(history)))
+
+
+def _same_error(frames, count, order):
+    """Both decoders raise their oracle's class and message; returns the message."""
+    pairs = [(decoder.decode_resilient, decode_resilient_scalar)]
+    if None not in frames:
+        pairs.append((decoder.decode_channel, decode_channel_scalar))
+    messages = set()
+    for decode, scalar in pairs:
+        with pytest.raises(EcgzError) as core:
+            decode(frames, count, order)
+        with pytest.raises(EcgzError) as oracle:
+            scalar(frames, count, order)
+        assert type(core.value) is type(oracle.value) and str(core.value) == str(oracle.value)
+        messages.add(str(core.value))
+    (message,) = messages
+    return message
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_first_bad_sample_at_the_int16_headroom_bound(order, sign):
+    # a raw rail-to-rail history, then the widest residual a field holds, toward the same side
+    history = _rail_history(order, sign)
+    widest = 63 if sign > 0 else -64
+    value = _predict(history, order) + widest
+    assert (2**order - 1) * 2047 < abs(value) <= (2**order - 1) * 2048 + 64 < 1 << 15
+    words = [encoder._PACKERS[1]([x]) for x in history] + [encoder._PACKERS[2]([widest, 0])]
+    for frames in (words, [None] + words, [0x3005, None] + words):  # after an erasure, L raw samples resync
+        message = _same_error(frames, order + 2 + (frames[0] == 0x3005), order)
+        assert message == f"reconstructed sample {value} outside the 12-bit range"
+
+
+def test_first_bad_sample_is_reported_when_a_later_one_wraps_into_range():
+    # at order 4 the first bad sample is -30,777; the samples after it grow
+    # cubically, and the fourth after it is -17 mod 2**16
+    order, history = 4, _rail_history(4, -1)
+    residuals = [-64] + [0] * 7
+    xs = list(history)
+    for e in residuals:
+        xs.append(_predict(xs[-order:], order) + e)
+    wrapped = [(x + (1 << 15)) % (1 << 16) - (1 << 15) for x in xs]
+    assert xs[order] == -30_777 and wrapped[order + 4] == -17 and xs[order + 4] < -(1 << 15)
+    words = [encoder._PACKERS[1]([x]) for x in history]
+    words += [encoder._PACKERS[2](residuals[:2]), encoder._PACKERS[6](residuals[2:])]
+    for frames in (words, [None] + words):
+        assert _same_error(frames, len(xs), order) == "reconstructed sample -30777 outside the 12-bit range"
+
+
 # Streams for the run-boundary scan. Raw samples between residual runs come
 # from resyncs (every 2-20 samples, one raw frame each) or from spikes, whose
 # L-th differences are wide only in the middle at these heights: either way
 # fewer than L raw samples separate most runs, so their exits chain. The maps
-# composed along such chains lose factors of 2 and reach 0 mod 2**64 within a
-# few hundred runs; lockstep streams repeat a gap and run length whose map is
-# not nilpotent mod 2, so the doubling scan runs past stride 2**10.
+# composed along such chains lose factors of 2 and reach 0 mod 2**16 (the
+# rebuild's int16) within about a hundred runs; lockstep streams repeat a gap
+# and run length whose map is not nilpotent mod 2, so the doubling scan reaches
+# stride 2**10 at order 2 and 2**11 at orders 3 and 4.
 SPIKE_HEIGHTS = {1: (70, 500), 2: (33, 55), 3: (23, 50), 4: (12, 45)}
 RESYNC_EVERY = {1: 3, 2: 8, 3: 13, 4: 19}
 LOCKSTEP_RUNS = {1: [3], 2: [2], 3: [2, 3]}  # frame sizes of the run after each gap of 1, 2, 3 raw samples

@@ -182,6 +182,33 @@ def test_normalize_rejects_values_leaving_the_sample_range():
         ingest.normalize_to_12bit([np.array([2047])], rec)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int16])
+def test_normalize_centres_int64_and_int16_leads_into_int16(dtype):
+    rec = record_for([spec(1024), spec(-2047), spec(0)], 4)
+    raw = [np.array(r, dtype=dtype) for r in ([-1024, 0, 1024, 3071], [-4095, -2047, 0, -1], [-2048, 0, 5, 2047])]
+    out = ingest.normalize_to_12bit(raw, rec)
+    assert all(a.dtype == np.int16 for a in out)
+    assert [a.tolist() for a in out] == [[-2048, -1024, 0, 2047], [-2048, 0, 2047, 2046], [-2048, 0, 5, 2047]]
+
+
+def test_normalize_centres_int64_values_beyond_int16():
+    rec = record_for([spec(100_000)], 3)
+    out = ingest.normalize_to_12bit([np.array([100_000, 97_952, 102_047])], rec)
+    assert out[0].dtype == np.int16 and out[0].tolist() == [0, -2048, 2047]
+
+
+@pytest.mark.parametrize("baseline", [10**23, -(10**23), 40_000, -40_000, 2048 + 5])
+def test_normalize_reports_a_baseline_that_does_not_centre(baseline):
+    # the check compares Python ints, so a baseline beyond int64 gets the same ValueError
+    rec = record_for([spec(baseline)], 2)
+    message = f"signal s.dat:? leaves -2048..2047 after centering on {baseline}"
+    for dtype in (np.int16, np.int64):
+        with pytest.raises(ValueError) as exc:
+            ingest.normalize_to_12bit([np.array([0, 5], dtype=dtype)], rec)
+        assert str(exc.value) == message
+    assert ingest.normalize_to_12bit([np.zeros(0, dtype=np.int16)], rec)[0].tolist() == []
+
+
 def test_normalize_checks_signal_count():
     rec = record_for([spec(0)], 1)
     with pytest.raises(ValueError):
@@ -211,6 +238,25 @@ def test_load_record_round_trips_synthetic_files(tmp_path):
     # .hea suffix works too
     rec2, arrays2 = ingest.load_record(prefix.with_suffix(".hea"))
     assert [a.tolist() for a in arrays2] == chans
+
+
+@pytest.mark.parametrize("baseline", [0, 2047, -2047])
+@pytest.mark.parametrize("n_samples", [0, 1, 6, 7, 101])
+@pytest.mark.parametrize("n_signals", [1, 2, 3, 4])
+def test_format212_leads_are_int16_and_match_the_byte_oracle(tmp_path, n_signals, n_samples, baseline):
+    # odd sample totals (one or three signals, an odd count) end in a short triplet
+    rng = np.random.default_rng(1000 * n_signals + n_samples)
+    lo, hi = max(-2048, baseline - 2048), min(2047, baseline + 2047)  # raw values that centre in range
+    raw = rng.integers(lo, hi + 1, size=(n_samples, n_signals))
+    raw.ravel()[:2] = [lo, hi][: raw.size]
+    prefix = write_record(tmp_path, "r", [(raw[:, k] - baseline).tolist() for k in range(n_signals)], adc_zero=baseline)
+    data = (tmp_path / "r.dat").read_bytes()
+    want = oracle_unpack(data, n_samples, n_signals)
+    got = ingest.read_format212(data, n_samples, n_signals)
+    assert all(g.dtype == np.int16 for g in got) and [g.tolist() for g in got] == want
+    _, leads = ingest.load_record(prefix)
+    assert all(a.dtype == np.int16 for a in leads)
+    assert [a.tolist() for a in leads] == [[v - baseline for v in w] for w in want]
 
 
 def test_load_record_rejects_split_signal_files(tmp_path):
