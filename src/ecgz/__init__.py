@@ -12,7 +12,7 @@ from .container import RecordMeta, read_ecgz, write_ecgz
 from .decoder import decode_channel, decode_resilient
 from .encoder import ChannelEncoder, EncoderConfig, encode_channel, encode_channels, encode_multichannel
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ChannelEncoder",
@@ -33,7 +33,7 @@ __all__ = [
 def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None) -> bytes:
     """Encode equal-length channel arrays straight into container bytes."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
-    words = [w for w, _ in encoder._encode_equal(channels, cfg)]
+    words = encoder.encode_channels(channels, cfg).channel_frames
     meta = RecordMeta(
         channel_count=len(channels),
         sample_rate_hz=sample_rate_hz,
@@ -44,15 +44,9 @@ def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None)
     return container.write_ecgz(meta, words)
 
 
-def decompress(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
-    """Inverse of compress: container bytes back to (meta, channels)."""
-    meta, channels = _decompress(data)
-    return meta, [c.tolist() for c in channels]
-
-
-def _decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
-    """decompress with each channel's samples as an int16 array."""
-    meta, channel_words = container._read_words(data)
+def decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
+    """Inverse of compress: container bytes back to (meta, channels), each channel's samples as int16."""
+    meta, channel_words = container.read_ecgz(data)
     channels = [
         decoder._decode_words(words, count, meta.predictor_order)
         for words, count in zip(channel_words, meta.sample_counts)

@@ -173,7 +173,7 @@ def evaluate_channels(
     m_values: Sequence[int] = DEFAULT_M_VALUES,
 ) -> list[ChannelRow]:
     """Score one record's channels, charging each for the frames its container holds."""
-    _, channel_words = container._read_words(compress(channels, 0, config))
+    _, channel_words = container.read_ecgz(compress(channels, 0, config))
     escape_bits = predictor.residual_bits(config.order)  # the selective estimator's raw residual
     rows = []
     for ch, (samples, words) in enumerate(zip(channels, channel_words)):
@@ -335,7 +335,6 @@ class LossReport:
     samples_per_channel: list[int]
     dropped_units: list[int]
     spans: list[list[tuple[int, int]]]  # per channel, [start, stop) of corrupted runs
-    recovery_indices: list[list[int]]  # per channel, first exact sample after each run
     corrupted_samples: int
     total_samples: int
     known_samples_exact: bool
@@ -387,7 +386,7 @@ class LossHarness:
         self.wire = container.wire_encode(log)
         self.n_units = len(log)
         self.expected_frames = [len(f) for f in result.channel_frames]
-        self._counts = [decoder._sample_counts(np.asarray(f, dtype=np.int64)) for f in result.channel_frames]
+        self._counts = [decoder._sample_counts(f) for f in result.channel_frames]
 
     def run(
         self,
@@ -417,7 +416,6 @@ class LossHarness:
         received, _ = container._wire_arrays(kept, len(self.channels), self.expected_frames)
 
         all_spans: list[list[tuple[int, int]]] = []
-        recoveries: list[list[int]] = []
         corrupted_total = 0
         exact = True
         for ch, samples in enumerate(self.channels):
@@ -431,7 +429,6 @@ class LossHarness:
                 corrupted = np.ones(len(samples), dtype=bool)
             spans = decoder._runs(corrupted)
             all_spans.append(spans)
-            recoveries.append([stop for _, stop in spans])
             corrupted_total += int(np.count_nonzero(corrupted))
         return LossReport(
             seed=seed,
@@ -440,7 +437,6 @@ class LossHarness:
             samples_per_channel=[len(c) for c in self.channels],
             dropped_units=sorted(drops),
             spans=all_spans,
-            recovery_indices=recoveries,
             corrupted_samples=corrupted_total,
             total_samples=sum(len(c) for c in self.channels),
             known_samples_exact=exact,

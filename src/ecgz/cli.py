@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _decompress, bench, compress, container, decoder, encoder, ingest
+from . import bench, compress, container, decoder, decompress, encoder, ingest
 from .errors import EcgzError
 from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
@@ -112,9 +112,9 @@ def _detect_format(path: Path, flag) -> str:
 
 
 def _load_input(path: Path, fmt: str, channels_flag, rate: float):
-    """Returns (channels as integer arrays, sample_rate): int16 leads from WFDB, int64 from CSV."""
+    """Returns (channels as int16 arrays, sample_rate)."""
     if fmt == "csv":
-        return ingest._read_csv_arrays(path.read_text(), channels_flag), rate
+        return ingest.read_csv(path.read_text(), channels_flag), rate
     record, arrays = ingest.load_record(path)
     if channels_flag is not None and channels_flag != len(arrays):
         raise ValueError(f"record has {len(arrays)} channels, --channels says {channels_flag}")
@@ -127,7 +127,7 @@ def cmd_compress(args) -> int:
     blob = compress(channels, int(round(rate)), _codec_config(args, rate, len(channels)))
     args.output.write_bytes(blob)
     n = sum(len(c) for c in channels)
-    frames = sum(w.size for w in container._read_words(blob)[1])
+    frames = sum(w.size for w in container.read_ecgz(blob)[1])
     ratio = bench.bcr(n, args.orig_bits, 16 * frames) if frames else float("nan")
     print(f"{args.input}: {n} samples in {len(channels)} channel(s), {frames} frames, bcr {ratio:.3f}")
     return 0
@@ -157,11 +157,11 @@ def _csv_bytes(columns: list[np.ndarray]) -> bytes:
 
 def cmd_decompress(args) -> int:
     data = args.input.read_bytes()
-    meta = container._read_words(data)[0]  # header checks only: refuse unequal lengths before decoding
+    meta = container.read_ecgz(data)[0]  # header checks only: refuse unequal lengths before decoding
     if len(set(meta.sample_counts)) > 1:
         counts = ", ".join(f"channel {ch}: {n}" for ch, n in enumerate(meta.sample_counts))
         raise EcgzError(f"cannot write CSV rows from channels of unequal length ({counts} samples)")
-    _, channels = _decompress(data)
+    _, channels = decompress(data)
     rows = min(meta.sample_counts, default=0)
     with open(args.output, "wb") as fh:
         for i in range(0, rows, CSV_CHUNK_ROWS):
@@ -173,7 +173,7 @@ def cmd_decompress(args) -> int:
 def cmd_verify(args) -> int:
     fmt = _detect_format(args.original, args.format)
     channels, _ = _load_input(args.original, fmt, args.channels, 0.0)
-    meta, channel_words = container._read_words(args.compressed.read_bytes())
+    meta, channel_words = container.read_ecgz(args.compressed.read_bytes())
     if len(channels) != meta.channel_count:
         print(f"channel count differs: source {len(channels)}, container {meta.channel_count}")
         return 1

@@ -91,13 +91,8 @@ def write_ecgz(meta: RecordMeta, channel_frames: Sequence[Sequence[int]]) -> byt
     return b"".join([bytes(head), *(w.astype(">u2").tobytes() for w in words)])
 
 
-def read_ecgz(data: bytes) -> tuple[RecordMeta, list[list[int]]]:
-    meta, channels = _read_words(data)
-    return meta, [w.tolist() for w in channels]
-
-
-def _read_words(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
-    """read_ecgz with each channel's frames as a read-only big-endian uint16 view of data."""
+def read_ecgz(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
+    """The header and each channel's frames, as a read-only big-endian uint16 view of data."""
     if len(data) < 4 + _HEAD.size:
         raise TruncationError(f"file of {len(data)} bytes is shorter than the fixed header")
     if data[:4] != MAGIC:
@@ -169,12 +164,6 @@ class WireGap:
 class WireDecodeResult:
     channels: list[list[int | None]]  # None marks a lost frame
     gaps: list[WireGap] = field(default_factory=list)
-
-    def missing_per_channel(self) -> list[int]:
-        counts = [0] * len(self.channels)
-        for g in self.gaps:
-            counts[g.channel] += g.missing
-        return counts
 
 
 def wire_decode(

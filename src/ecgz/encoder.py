@@ -23,8 +23,9 @@ _frame_counts builds over every window of six width classes, packs one
 frame with the same _PACKERS, and flushes its queue through the core.
 
 Type E doubles as the resynchronization frame: at a configurable sample
-interval the encoder forces consecutive E frames so a decoder that lost
-frames can rebuild its predictor history from the raw samples.
+interval the encoder forces RESYNC_RAW_SAMPLES consecutive E frames so a
+decoder that lost frames can rebuild its predictor history from the raw
+samples.
 
 The core finds every frame start without a per-frame loop. A step table
 sends each position to the start of the next frame, with the forced E
@@ -59,6 +60,9 @@ from .predictor import SAMPLE_BITS, SAMPLE_MAX, SAMPLE_MIN
 DEFAULT_RESYNC_INTERVAL = 2048
 
 MAX_CHANNELS = 4
+
+# Raw samples forced at each resync: two rebuild the order-2 history.
+RESYNC_RAW_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,6 @@ class EncoderConfig:
     resync_interval_samples: int = DEFAULT_RESYNC_INTERVAL  # 0 disables resync
     channel_count: int = 1
     order: int = 2
-    resync_e_frames: int = 2  # raw samples per resync event; 2 rebuilds order-2 state
 
     def __post_init__(self) -> None:
         if self.resync_interval_samples < 0:
@@ -175,8 +178,6 @@ class EncoderConfig:
         if not 1 <= self.channel_count <= MAX_CHANNELS:
             raise ValueError(f"channel count must be 1..{MAX_CHANNELS}")
         predictor.coefficients(self.order)
-        if self.resync_e_frames not in (1, 2):
-            raise ValueError("resync_e_frames must be 1 or 2")
 
 
 class ChannelEncoder:
@@ -218,7 +219,7 @@ class ChannelEncoder:
             del xs[:count], es[:count]
         self._until_resync -= 1
         if self._until_resync == 0:
-            self.resync_pending = self.config.resync_e_frames
+            self.resync_pending = RESYNC_RAW_SAMPLES
             self._until_resync = self.config.resync_interval_samples
         return emitted
 
@@ -230,9 +231,9 @@ class ChannelEncoder:
         return _pack(x, err, _frame_walk(_frame_counts(width_classes(err)), 0, 0)).tolist()
 
 
-def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> list[int]:
-    """Encode one whole channel; equals push_sample over samples then flush."""
-    return _encode_arrays(samples, config or EncoderConfig())[0].tolist()
+def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> np.ndarray:
+    """Encode one whole channel into int64 frame words; equals push_sample over samples then flush."""
+    return _encode_arrays(samples, config or EncoderConfig())[0]
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
@@ -353,7 +354,7 @@ def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarr
     frame start (_frame_walk); _pack packs each type in one numpy pass.
     """
     x, err = predictor.narrow_residuals(samples, cfg.order)  # validates sample range
-    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, cfg.resync_e_frames)
+    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, RESYNC_RAW_SAMPLES)
     return _pack(x, err, starts), np.minimum(starts + 5, err.size)
 
 
@@ -375,15 +376,15 @@ def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MultiChannelResult:
-    channel_frames: list[list[int]]
+    channel_frames: list[np.ndarray]  # per channel, its int64 frame words
     # per channel, the stream index at which each frame went out; flush
     # frames count past the end of the stream
-    emission_positions: list[Sequence[int]]
+    emission_positions: list[np.ndarray]
 
     @property
     def emission_log(self) -> list[tuple[int, int]]:
         """(channel, word) pairs in emission order; flushes in channel order."""
-        words = np.concatenate([np.asarray(f, dtype=np.int64) for f in self.channel_frames])
+        words = np.concatenate(self.channel_frames)
         chans = np.repeat(np.arange(len(self.channel_frames)), [len(f) for f in self.channel_frames])
         order = np.argsort(np.concatenate(self.emission_positions), kind="stable")
         return list(zip(chans[order].tolist(), words[order].tolist()))
@@ -407,7 +408,7 @@ def encode_multichannel(
     for ch in range(cfg.channel_count):
         index = np.flatnonzero(chans == ch)  # stream index of each of the channel's samples
         words, pos = _encode_arrays(xs[index], cfg)
-        frames.append(words.tolist())
+        frames.append(words)
         # the frame from sample qs goes out with sample qs + 5, the flush at the end of the stream
         positions.append(np.append(index, len(pairs))[pos])
     return MultiChannelResult(frames, positions)
@@ -423,17 +424,10 @@ def encode_channels(
     """
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
     nch = len(channels)
-    encoded = _encode_equal(channels, cfg)
-    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
-    return MultiChannelResult(
-        [w.tolist() for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)]
-    )
-
-
-def _encode_equal(channels: Sequence[Sequence[int]], cfg: EncoderConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """encode_channels as each channel's (words, emission positions) int64 arrays."""
-    if len(channels) != cfg.channel_count:
-        raise ValueError(f"got {len(channels)} channels but config says {cfg.channel_count}")
+    if nch != cfg.channel_count:
+        raise ValueError(f"got {nch} channels but config says {cfg.channel_count}")
     if len({len(c) for c in channels}) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
-    return [_encode_arrays(samples, cfg) for samples in channels]
+    encoded = [_encode_arrays(samples, cfg) for samples in channels]
+    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
+    return MultiChannelResult([w for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)])

@@ -89,7 +89,7 @@ def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
     if len(tok) < 2:
         raise WfdbParseError(f"line {lineno}: signal line needs a file name and format")
     file_name = tok[0]
-    if not tok[1].isdigit():
+    if not (tok[1].isascii() and tok[1].isdigit()):
         raise UnsupportedFormatError(f"line {lineno}: unsupported signal format {tok[1]!r}")
     fmt = int(tok[1])
     if fmt != 212:
@@ -191,21 +191,16 @@ CSV_BLOCK_ROWS = 8192  # rows per block of the strict parser, which bounds its t
 _COMMA, _NEWLINE, _MINUS, _ZERO, _NINE = b",\n-09"
 
 
-def read_csv(text: str, channel_count: int | None = None) -> list[list[int]]:
-    """Parse integer CSV, one row per time step, one column per channel."""
-    return [c.tolist() for c in _read_csv_arrays(text, channel_count)]
-
-
-def _read_csv_arrays(text: str, channel_count: int | None = None) -> list[np.ndarray]:
-    """read_csv with each channel as an int64 array."""
+def read_csv(text: str, channel_count: int | None = None) -> list[np.ndarray]:
+    """Parse integer CSV, one row per time step, into one int16 array per column (channel)."""
     table = _parse_strict_csv(text, channel_count)
     if table is not None:
         return list(table)
-    return [np.array(c, dtype=np.int64) for c in _read_csv_cells(text, channel_count)]
+    return [np.array(c, dtype=np.int16) for c in _read_csv_cells(text, channel_count)]
 
 
 def _parse_strict_csv(text: str, channel_count: int | None) -> np.ndarray | None:
-    """(channels, rows) int64 table of well-formed CSV, else None.
+    """(channels, rows) int16 table of well-formed CSV, else None.
 
     Well formed: every cell matches -?[0-9]{1,4} and lies in the sample
     range, every line (the last too) ends in a bare newline, and every
@@ -219,7 +214,7 @@ def _parse_strict_csv(text: str, channel_count: int | None) -> np.ndarray | None
     width = int(np.count_nonzero(data[: ends[0]] == _COMMA)) + 1
     if channel_count is not None and channel_count != width:
         return None
-    table = np.empty((width, ends.size), dtype=np.int64)
+    table = np.empty((width, ends.size), dtype=np.int16)
     start = 0
     for r0 in range(0, ends.size, CSV_BLOCK_ROWS):
         r1 = min(r0 + CSV_BLOCK_ROWS, ends.size)

@@ -276,7 +276,7 @@ class ChannelEncoderScalar:
         self.samples_since_resync += 1
         interval = self.config.resync_interval_samples
         if interval and self.samples_since_resync >= interval:
-            self.resync_pending = self.config.resync_e_frames
+            self.resync_pending = 2  # raw samples forced per resync
             self.samples_since_resync = 0
         return emitted
 

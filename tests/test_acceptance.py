@@ -60,7 +60,9 @@ def test_lossless_round_trip_on_randomized_recordings():
         meta = container.RecordMeta(nch, 360, interval, order, (n,) * nch)
         blob = ecgz.compress(chans, 360, cfg)
         assert blob == container.write_ecgz(meta, frames)
-        assert ecgz.decompress(blob) == (meta, chans), (
+        got_meta, got = ecgz.decompress(blob)
+        assert got_meta == meta and all(c.dtype == np.int16 for c in got), f"case {i}"
+        assert [c.tolist() for c in got] == chans, (
             f"case {i}: n={n} nch={nch} order={order} interval={interval}"
         )
     _note("lossless round trip over 10,000 randomized recordings")

@@ -180,7 +180,6 @@ def test_single_loss_report_shape():
     assert report.corrupted_samples == sum(
         stop - start for spans in report.spans for start, stop in spans
     )
-    assert report.recovery_indices[0] == [stop for _, stop in report.spans[0]]
 
 
 def test_same_seed_reproduces_the_run():
@@ -238,7 +237,7 @@ def test_loss_sweep_shares_the_encode():
 
 
 def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
-    """(spans, recovery indices, corrupted count, exact) from the per-frame audit."""
+    """(spans, corrupted count, exact) from the per-frame audit."""
     received = container.wire_decode(
         bench._drop_units(harness.wire, drops), len(harness.channels), harness.expected_frames
     ).channels
@@ -252,7 +251,7 @@ def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
             corrupted = [True] * len(truth)
         spans.append(bool_runs_scalar(corrupted))
     corrupted_total = sum(stop - start for runs in spans for start, stop in runs)
-    return spans, [[stop for _, stop in runs] for runs in spans], corrupted_total, exact
+    return spans, corrupted_total, exact
 
 
 @settings(max_examples=80, deadline=None)
@@ -281,7 +280,7 @@ def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed)
     with mock.patch.object(decoder, "_decode_erasures", wrong_known_sample if tamper else erasures):
         report = harness.run(pattern, seed=seed)
         expected = _report_by_frame_walk(harness, set(report.dropped_units))
-    got = (report.spans, report.recovery_indices, report.corrupted_samples, report.known_samples_exact)
+    got = (report.spans, report.corrupted_samples, report.known_samples_exact)
     assert got == expected
     assert all(type(v) is int for runs in report.spans for span in runs for v in span)
     assert type(report.corrupted_samples) is int and type(report.known_samples_exact) is bool

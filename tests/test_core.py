@@ -45,12 +45,11 @@ cases = st.tuples(
     st.integers(0, 300),
     st.integers(1, 4),
     st.sampled_from(INTERVALS),
-    st.sampled_from([1, 2]),
 )
 
 
-def _config(order, interval, e_frames):
-    return EncoderConfig(resync_interval_samples=interval, order=order, resync_e_frames=e_frames)
+def _config(order, interval):
+    return EncoderConfig(resync_interval_samples=interval, order=order)
 
 
 def _streamed(enc, xs):
@@ -67,9 +66,9 @@ def _streamed(enc, xs):
 @settings(max_examples=150, deadline=None)
 @given(cases)
 def test_encoder_core_matches_the_streaming_encoder(case):
-    kind, seed, n, order, interval, e_frames = case
+    kind, seed, n, order, interval = case
     xs = _signal(kind, seed, n)
-    cfg = _config(order, interval, e_frames)
+    cfg = _config(order, interval)
     got = encoder._encode_arrays(xs, cfg)
     assert got[0].dtype == got[1].dtype == np.int64
     assert (got[0].tolist(), got[1].tolist()) == _streamed(encoder.ChannelEncoder(cfg), xs)
@@ -110,13 +109,13 @@ def _push(enc, x):
 @settings(max_examples=300, deadline=None)
 @given(cases, st.integers(0, 2**32 - 1))
 def test_streaming_encoder_matches_the_scalar_oracle(case, mseed):
-    kind, seed, n, order, interval, e_frames = case
+    kind, seed, n, order, interval = case
     rng = np.random.default_rng(mseed)
     xs = _signal(kind, seed, n)
     for _ in range(int(rng.integers(0, 3))):  # out-of-range samples must raise and change nothing
         xs.insert(int(rng.integers(0, n + 1)), int(rng.choice([-2049, 2048, -(2**40), 2**40])))
     cut = int(rng.integers(0, len(xs) + 1))  # a flush mid-stream keeps the predictor and resync state
-    cfg = _config(order, interval, e_frames)
+    cfg = _config(order, interval)
     enc, ref = encoder.ChannelEncoder(cfg), ChannelEncoderScalar(cfg)
     for part in (xs[:cut], xs[cut:]):
         for x in part:
@@ -130,8 +129,8 @@ def test_flush_at_every_queue_depth_matches_the_scalar_oracle():
     rng = np.random.default_rng(2024)
     steps = rng.choice([0, 1, -1, 3, -3, 12, -12, 40, -40, 300, -300], size=48)
     xs = np.cumsum(steps).clip(-2048, 2047).tolist()
-    for order, interval, e_frames in itertools.product(range(1, 5), range(1, 8), (1, 2)):
-        cfg = _config(order, interval, e_frames)
+    for order, interval in itertools.product(range(1, 5), range(1, 8)):
+        cfg = _config(order, interval)
         depths = set()
         for cut in range(30):
             enc, ref = encoder.ChannelEncoder(cfg), ChannelEncoderScalar(cfg)
@@ -148,19 +147,20 @@ def test_flush_at_every_queue_depth_matches_the_scalar_oracle():
 @settings(max_examples=150, deadline=None)
 @given(cases, st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_multichannel_encoder_matches_per_channel_scalar_encoders(case, nch, mseed):
-    kind, seed, n, order, interval, e_frames = case
+    kind, seed, n, order, interval = case
     rng = np.random.default_rng(mseed)
     # unequal channel lengths, in a random (not round-robin) interleaving
     leads = [_signal(kind, seed + ch, int(rng.integers(0, n + 1))) for ch in range(nch)]
     arrivals = rng.permutation(np.repeat(np.arange(nch), [len(lead) for lead in leads])).tolist()
     samples = [iter(lead) for lead in leads]
     stream = [(ch, next(samples[ch])) for ch in arrivals]
-    cfg = EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=order, resync_e_frames=e_frames)
+    cfg = EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=order)
     refs = [ChannelEncoderScalar(cfg) for _ in range(nch)]
     log = [(ch, word) for ch, x in stream for word in refs[ch].push_sample(x)]
     log += [(ch, word) for ch, ref in enumerate(refs) for word in ref.flush()]
     got = encoder.encode_multichannel(iter(stream), cfg)
-    assert got.channel_frames == [[w for c, w in log if c == ch] for ch in range(nch)]
+    assert all(words.dtype == np.int64 for words in got.channel_frames)
+    assert [words.tolist() for words in got.channel_frames] == [[w for c, w in log if c == ch] for ch in range(nch)]
     assert got.emission_log == log
 
 
@@ -174,9 +174,9 @@ def _outcome(decode, words, count, order):
 @settings(max_examples=150, deadline=None)
 @given(cases)
 def test_decoder_core_matches_the_scalar_oracle(case):
-    kind, seed, n, order, interval, e_frames = case
+    kind, seed, n, order, interval = case
     xs = _signal(kind, seed, n)
-    words = encoder.encode_channel(xs, _config(order, interval, e_frames))
+    words = encoder.encode_channel(xs, _config(order, interval)).tolist()
     assert decoder.decode_channel(words, n, order) == decode_channel_scalar(words, n, order) == xs
 
 
@@ -185,8 +185,8 @@ MUTATIONS = ["random_words", "random_stream", "reserved", "too_many", "truncate"
 
 def _damaged(case, mutation, rng):
     """An encoded stream with one kind of damage: (words, declared count, order)."""
-    kind, seed, n, order, interval, e_frames = case
-    words = encoder.encode_channel(_signal(kind, seed, n), _config(order, interval, e_frames))
+    kind, seed, n, order, interval = case
+    words = encoder.encode_channel(_signal(kind, seed, n), _config(order, interval)).tolist()
     count = n
     if mutation == "random_words" and words:  # a few words replaced: any mix of defects
         for i in rng.integers(0, len(words), size=rng.integers(1, 4)):
@@ -365,11 +365,16 @@ def _chained(kind: str, order: int) -> tuple[list[int], list[int]]:
         return _lockstep(order)
     if kind == "resync":
         xs = np.cumsum(np.random.default_rng(order).integers(-1, 2, size=25_000))
-        cfg = _config(order, RESYNC_EVERY[order], 1)
-    else:
-        xs = _spiky(order, order, 20_000)
-        cfg = _config(order, 0, 2)
-    return xs.tolist(), encoder.encode_channel(xs, cfg)
+        return xs.tolist(), _one_raw_frame_per_resync(xs, order, RESYNC_EVERY[order])
+    xs = _spiky(order, order, 20_000)
+    return xs.tolist(), encoder.encode_channel(xs, _config(order, 0)).tolist()
+
+
+def _one_raw_frame_per_resync(xs, order: int, interval: int) -> list[int]:
+    """The encoder core's words with a single forced raw frame, not two, at each resync."""
+    x, err = predictor.narrow_residuals(xs, order)
+    starts = encoder._frame_walk(encoder._frame_counts(encoder.width_classes(err)), interval, 1)
+    return encoder._pack(x, err, starts).tolist()
 
 
 def _residual_runs(words) -> tuple[np.ndarray, np.ndarray]:
@@ -438,7 +443,7 @@ def test_a_run_past_2_to_the_21_round_trips(order):
     wave = np.rint(1500 * np.sin(np.arange(n_long) * (2 * np.pi / (1 << 17)))).astype(np.int64)
     head = _spiky(order, 6, 1_000)
     xs = np.concatenate([head, head[-1] + wave, head[-1] + wave[-1] + _spiky(order, 7, 5_000)])
-    words = np.asarray(encoder.encode_channel(xs, _config(order, 0, 2)))
+    words = encoder.encode_channel(xs, _config(order, 0))
     firsts, lasts = _residual_runs(words)
     assert (lasts - firsts + 1).max() > 1 << 21
     assert firsts.size > 200 and _longest_chain(firsts, lasts, order) > (order > 1)
@@ -482,8 +487,8 @@ def test_encoder_core_matches_the_scalar_encoder_rail_to_rail(order, interval):
     # alternating rails give the widest residual of each order: +-32,760 at order 4
     rails = [predictor.SAMPLE_MAX, predictor.SAMPLE_MIN] * 800
     assert np.abs(predictor.residuals(rails, order)).max() == 4095 << (order - 1)
-    for n, e_frames in itertools.product([*range(7), len(rails)], (1, 2)):
-        cfg = _config(order, interval, e_frames)
+    cfg = _config(order, interval)
+    for n in [*range(7), len(rails)]:
         words, positions = encoder._encode_arrays(rails[:n], cfg)
         assert (words.tolist(), positions.tolist()) == _streamed(ChannelEncoderScalar(cfg), rails[:n]), n
 

@@ -256,9 +256,13 @@ def test_recovery_happens_at_the_next_raw_pair():
 
 
 def test_raw_samples_stay_known_while_desynchronized():
-    xs = walk(4, 300)
-    cfg = EncoderConfig(resync_interval_samples=64, resync_e_frames=1)
-    words = encoder.encode_channel(xs, cfg)
+    # a triangle wave without resyncs: each turn is the one order-2 residual
+    # wider than 7 bits, and 30 zero residuals (five D frames) lie between
+    # turns, so every escape goes out as a single raw frame
+    xs = (40 * (15 - np.abs((np.arange(300) + 16) % 62 - 31))).tolist()
+    words = encoder.encode_channel(xs, EncoderConfig(resync_interval_samples=0)).tolist()
+    tags = "".join("E" if (w >> 12) == 3 else "x" for w in words)
+    assert tags.count("E") >= 9 and "EE" not in tags
     out, _ = decoder.decode_resilient(lose(words, 1), len(xs), 2)
     # single raw frames never satisfy the default two-sample resync, so
     # only the raw values themselves are known after the loss

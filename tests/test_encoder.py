@@ -238,36 +238,43 @@ def test_pack_type_e_matches_bit_assembly(x):
 # Whole-channel encoding
 
 
+def _words(samples, cfg):
+    """encode_channel's words as a list, after checking that they are int64."""
+    words = encoder.encode_channel(samples, cfg)
+    assert words.dtype == np.int64
+    return words.tolist()
+
+
 def test_constant_zero_signal_packs_six_per_frame():
     cfg = EncoderConfig(resync_interval_samples=0)
-    assert encoder.encode_channel([0] * 12, cfg) == [0x0000, 0x0000]
+    assert _words([0] * 12, cfg) == [0x0000, 0x0000]
 
 
 def test_constant_nonzero_signal_warms_up_through_type_e():
     cfg = EncoderConfig(resync_interval_samples=0)
-    words = encoder.encode_channel([100] * 20, cfg)
+    words = _words([100] * 20, cfg)
     # residuals are 100, -100, then zeros: two escapes, then 3 x 6 zeros
     assert words == [0x3064, 0x3064, 0x0000, 0x0000, 0x0000]
 
 
 def test_flush_single_leftover_goes_out_as_type_e():
     cfg = EncoderConfig(resync_interval_samples=0)
-    assert encoder.encode_channel([0], cfg) == [0x3000]
+    assert _words([0], cfg) == [0x3000]
 
 
 def test_flush_five_narrow_leftovers_use_c_then_e():
     cfg = EncoderConfig(resync_interval_samples=0)
-    assert encoder.encode_channel([0] * 5, cfg) == [0x1000, 0x3000]
+    assert _words([0] * 5, cfg) == [0x1000, 0x3000]
 
 
 def test_flush_respects_field_counts_not_priority_order():
     # four width-2 leftovers: D needs six, so C wins
     cfg = EncoderConfig(resync_interval_samples=0)
-    assert encoder.encode_channel([0] * 4, cfg) == [0x1000]
+    assert _words([0] * 4, cfg) == [0x1000]
 
 
 def test_empty_input_yields_no_frames():
-    assert encoder.encode_channel([], EncoderConfig()) == []
+    assert _words([], EncoderConfig()) == []
 
 
 def frame_tags(words):
@@ -303,12 +310,16 @@ def test_resync_interval_forces_adjacent_raw_pairs():
         pos += counts[tag]
 
 
-def test_single_raw_frame_per_resync_event_mode():
+def test_each_resync_forces_exactly_two_raw_frames():
+    # steps of +-1 keep every residual narrow at every order, so only resyncs emit E
     rng = np.random.default_rng(5)
     x = np.cumsum(rng.integers(-1, 2, size=4 * 64 + 30)).astype(np.int64)
-    cfg = EncoderConfig(resync_interval_samples=64, resync_e_frames=1)
-    tags = frame_tags(encoder.encode_channel(x, cfg))
-    assert tags.count("E") == 4
+    assert encoder.RESYNC_RAW_SAMPLES == 2
+    for order in (1, 2, 3, 4):
+        cfg = EncoderConfig(resync_interval_samples=64, order=order)
+        tags = "".join(frame_tags(encoder.encode_channel(x, cfg)))
+        assert tags.count("E") == 4 * 2, order
+        assert tags.count("EE") == 4 and "EEE" not in tags, order
 
 
 def test_sample_count_is_conserved_across_frames():
@@ -339,12 +350,9 @@ signal_st = st.one_of(
     signal_st,
     st.integers(min_value=1, max_value=4),
     st.sampled_from([0, 7, 64, 2048]),
-    st.sampled_from([1, 2]),
 )
-def test_streaming_encoder_equals_the_indexed_fast_path(xs, order, interval, e_frames):
-    cfg = EncoderConfig(
-        resync_interval_samples=interval, order=order, resync_e_frames=e_frames
-    )
+def test_streaming_encoder_equals_the_indexed_fast_path(xs, order, interval):
+    cfg = EncoderConfig(resync_interval_samples=interval, order=order)
     enc = encoder.ChannelEncoder(cfg)
     streamed = []
     for x in xs:
@@ -370,7 +378,8 @@ def test_multichannel_stream_agrees_with_per_channel_arrays(seed, n, nch, interv
     by_arrays = encoder.encode_channels(chans, cfg)
     round_robin = [(c, chans[c][i]) for i in range(n) for c in range(nch)]
     by_stream = encoder.encode_multichannel(round_robin, cfg)
-    assert by_stream.channel_frames == by_arrays.channel_frames
+    for got, want in zip(by_stream.channel_frames, by_arrays.channel_frames, strict=True):
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
     assert by_stream.emission_log == by_arrays.emission_log
 
 
@@ -382,14 +391,14 @@ def test_emission_log_is_channel_tagged_and_complete():
         [0] * len(result.channel_frames[0]) + [1] * len(result.channel_frames[1])
     )
     for ch in (0, 1):
-        assert [w for c, w in result.emission_log if c == ch] == result.channel_frames[ch]
+        assert [w for c, w in result.emission_log if c == ch] == result.channel_frames[ch].tolist()
 
 
 def test_encode_channels_validates_shape():
     cfg = EncoderConfig(channel_count=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^got 1 channels but config says 2$"):
         encoder.encode_channels([[0, 1]], cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^channel arrays must have equal lengths; stream unequal channels instead$"):
         encoder.encode_channels([[0, 1], [0]], cfg)
 
 
@@ -408,5 +417,5 @@ def test_config_validation():
         EncoderConfig(channel_count=5)
     with pytest.raises(ValueError):
         EncoderConfig(order=7)
-    with pytest.raises(ValueError):
-        EncoderConfig(resync_e_frames=3)
+    with pytest.raises(TypeError):  # the raw samples per resync are fixed, not configured
+        EncoderConfig(resync_e_frames=1)

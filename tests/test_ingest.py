@@ -81,6 +81,13 @@ def test_parse_header_rejects_other_formats():
         ingest.parse_wfdb_header("r 1 250 10\nr.dat 212x\n")
 
 
+@pytest.mark.parametrize("fmt", ["21\u00b2", "\u00b9", "2\u00b912", "\u0663"])
+def test_parse_header_refuses_a_non_ascii_digit_format(fmt):
+    # str.isdigit accepts superscripts, which int() then refuses
+    with pytest.raises(UnsupportedFormatError, match=f"^line 2: unsupported signal format {fmt!r}$"):
+        ingest.parse_wfdb_header(f"r 1 250 10\nr.dat {fmt}\n")
+
+
 # ---------------------------------------------------------------------------
 # Format 212
 
@@ -269,9 +276,17 @@ def test_load_record_rejects_split_signal_files(tmp_path):
 # CSV
 
 
+def _read_csv_lists(text, channel_count=None):
+    """read_csv with each channel as a list, after checking that every channel is int16."""
+    channels = ingest.read_csv(text, channel_count)
+    assert all(isinstance(c, np.ndarray) and c.dtype == np.int16 for c in channels)
+    return [c.tolist() for c in channels]
+
+
 def test_read_csv_columns_become_channels():
-    assert ingest.read_csv("1,2\n3,4\n5,6\n") == [[1, 3, 5], [2, 4, 6]]
-    assert ingest.read_csv("7\n8\n") == [[7, 8]]
+    assert _read_csv_lists("1,2\n3,4\n5,6\n") == [[1, 3, 5], [2, 4, 6]]
+    assert _read_csv_lists("7\n8\n") == [[7, 8]]
+    assert _read_csv_lists(" 7\n-8\n") == [[7, -8]]  # the cell parser's int16 too
 
 
 def test_read_csv_channel_count_must_match():
@@ -297,9 +312,9 @@ def test_read_csv_rejects_out_of_range_samples():
 
 
 def test_read_csv_empty_input():
-    assert ingest.read_csv("") == []
-    assert ingest.read_csv("", channel_count=2) == [[], []]
-    assert ingest.read_csv("\n\n") == []
+    assert _read_csv_lists("") == []
+    assert _read_csv_lists("", channel_count=2) == [[], []]
+    assert _read_csv_lists("\n\n") == []
 
 
 def test_read_csv_reports_a_bare_carriage_return_as_a_row_error():
@@ -373,12 +388,10 @@ def csv_texts(draw):
 def test_read_csv_matches_the_cell_parser(case, block_rows):
     text, channel_count, strict = case
     with mock.patch.object(ingest, "CSV_BLOCK_ROWS", block_rows):  # many blocks from few rows
-        got = _csv_outcome(ingest.read_csv, text, channel_count)
+        got = _csv_outcome(_read_csv_lists, text, channel_count)
         if strict:
             assert ingest._parse_strict_csv(text, channel_count) is not None
     assert got == _csv_outcome(read_csv_scalar, text, channel_count)
-    if isinstance(got, list):
-        assert all(type(v) is int for channel in got for v in channel)
 
 
 def test_read_csv_blocks_keep_row_numbers_and_values():
@@ -386,7 +399,7 @@ def test_read_csv_blocks_keep_row_numbers_and_values():
     table = rng.integers(-2048, 2048, size=(3 * ingest.CSV_BLOCK_ROWS + 5, 3))
     lines = [",".join(map(str, row)) + "\n" for row in table.tolist()]
     text = "".join(lines)
-    assert ingest.read_csv(text) == table.T.tolist()
+    assert _read_csv_lists(text) == table.T.tolist()
     assert ingest._parse_strict_csv(text, None) is not None
     for row, bad in (
         (2 * ingest.CSV_BLOCK_ROWS + 3, ["1,2,2048\n"]),
@@ -395,4 +408,4 @@ def test_read_csv_blocks_keep_row_numbers_and_values():
         (ingest.CSV_BLOCK_ROWS + 9, ["1,2,3,4\n", "5,6\n"]),  # as many cells as two good rows
     ):
         broken = "".join(lines[:row] + bad + lines[row + len(bad) :])
-        assert _csv_outcome(ingest.read_csv, broken, None) == _csv_outcome(read_csv_scalar, broken, None)
+        assert _csv_outcome(_read_csv_lists, broken, None) == _csv_outcome(read_csv_scalar, broken, None)
