@@ -10,9 +10,9 @@ import numpy as np
 from . import container, decoder, encoder
 from .container import RecordMeta, read_ecgz, write_ecgz
 from .decoder import decode_channel, decode_resilient
-from .encoder import ChannelEncoder, EncoderConfig, encode_channel, encode_channels, encode_multichannel
+from .encoder import ChannelEncoder, EncoderConfig, encode_channel, encode_channels
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChannelEncoder",
@@ -24,7 +24,6 @@ __all__ = [
     "decompress",
     "encode_channel",
     "encode_channels",
-    "encode_multichannel",
     "read_ecgz",
     "write_ecgz",
 ]
@@ -33,7 +32,7 @@ __all__ = [
 def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None) -> bytes:
     """Encode equal-length channel arrays straight into container bytes."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
-    words = encoder.encode_channels(channels, cfg).channel_frames
+    words = encoder.encode_channels(channels, cfg)
     meta = RecordMeta(
         channel_count=len(channels),
         sample_rate_hz=sample_rate_hz,

@@ -378,15 +378,20 @@ class LossHarness:
         channels: Sequence[Sequence[int]],
         config: encoder.EncoderConfig | None = None,
     ) -> None:
-        self.channels = [np.asarray(ch, dtype=np.int64) for ch in channels]
         self.config = config or encoder.EncoderConfig(channel_count=len(channels) or 1)
-        result = encoder.encode_channels(self.channels, self.config)
-        self.channel_frames = result.channel_frames
-        log = result.emission_log
-        self.wire = container.wire_encode(log)
-        self.n_units = len(log)
-        self.expected_frames = [len(f) for f in result.channel_frames]
-        self._counts = [decoder._sample_counts(f) for f in result.channel_frames]
+        self.channel_frames = encoder.encode_channels(channels, self.config)  # validates the samples
+        self.channels = [np.asarray(ch, dtype=np.int64) for ch in channels]
+        self.expected_frames = [len(f) for f in self.channel_frames]
+        self._counts = [decoder._sample_counts(f) for f in self.channel_frames]
+        # ChannelEncoder sends the frame that starts at sample q with sample q + 5 and
+        # flushes the rest after the last sample; the leads share the link round-robin.
+        nch, n = len(self.channels), len(self.channels[0])
+        at = [np.minimum(np.cumsum(c) - c + 5, n) * nch + ch for ch, c in enumerate(self._counts)]
+        order = np.argsort(np.concatenate(at), kind="stable")
+        chans = np.repeat(np.arange(nch), self.expected_frames)[order]
+        words = np.concatenate(self.channel_frames)[order]
+        self.wire = container.wire_encode(list(zip(chans.tolist(), words.tolist())))
+        self.n_units = int(order.size)
 
     def run(
         self,

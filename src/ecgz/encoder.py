@@ -14,9 +14,9 @@ Header 0010 is reserved. Residuals are classified by the smallest field
 width that holds them (2, 3, 5, or 7 bits); anything wider escapes to
 Type E, which stores the raw sample instead. Pending samples queue up
 (at most 6) and whenever the queue is full the densest applicable type
-wins, in priority order D, C, A, B, E. The array core (_encode_arrays,
-also run per channel by encode_multichannel) states each frame rule
-once: _frame_counts selects, _frame_walk walks, and _PACKERS, one
+wins, in priority order D, C, A, B, E. The array core (encode_channel,
+run per lead by encode_channels) states each frame rule once:
+_frame_counts selects, _frame_walk walks, and _PACKERS, one
 shift-and-or expression per type, packs a whole numpy pass. The
 streaming ChannelEncoder looks each frame size up in a table that
 _frame_counts builds over every window of six width classes, packs one
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -232,8 +232,17 @@ class ChannelEncoder:
 
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> np.ndarray:
-    """Encode one whole channel into int64 frame words; equals push_sample over samples then flush."""
-    return _encode_arrays(samples, config or EncoderConfig())[0]
+    """Encode one whole channel into int64 frame words; equals push_sample over samples then flush.
+
+    Residuals give width classes, the width classes the greedy frame size
+    at every position (_frame_counts), and the step table with its
+    pointer doubling every frame start (_frame_walk); _pack packs each
+    type in one numpy pass.
+    """
+    cfg = config or EncoderConfig()
+    x, err = predictor.narrow_residuals(samples, cfg.order)  # validates sample range
+    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, RESYNC_RAW_SAMPLES)
+    return _pack(x, err, starts)
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
@@ -344,20 +353,6 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
     return starts
 
 
-def _encode_arrays(samples: Sequence[int], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Frame words and emission positions of one channel, as int64 arrays.
-
-    A word's position is the index of the sample whose push emits it in
-    ChannelEncoder, or len(samples) for the flush. Residuals give width
-    classes, the width classes the greedy frame size at every position
-    (_frame_counts), and the step table with its pointer doubling every
-    frame start (_frame_walk); _pack packs each type in one numpy pass.
-    """
-    x, err = predictor.narrow_residuals(samples, cfg.order)  # validates sample range
-    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, RESYNC_RAW_SAMPLES)
-    return _pack(x, err, starts), np.minimum(starts + 5, err.size)
-
-
 def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Frame words, as int64, of the frames that start at starts; x and err are int16.
 
@@ -374,60 +369,12 @@ def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return words.astype(np.int64)
 
 
-@dataclass
-class MultiChannelResult:
-    channel_frames: list[np.ndarray]  # per channel, its int64 frame words
-    # per channel, the stream index at which each frame went out; flush
-    # frames count past the end of the stream
-    emission_positions: list[np.ndarray]
-
-    @property
-    def emission_log(self) -> list[tuple[int, int]]:
-        """(channel, word) pairs in emission order; flushes in channel order."""
-        words = np.concatenate(self.channel_frames)
-        chans = np.repeat(np.arange(len(self.channel_frames)), [len(f) for f in self.channel_frames])
-        order = np.argsort(np.concatenate(self.emission_positions), kind="stable")
-        return list(zip(chans[order].tolist(), words[order].tolist()))
-
-
-def encode_multichannel(
-    stream: Iterable[tuple[int, int]], config: EncoderConfig | None = None
-) -> MultiChannelResult:
-    """Encode an interleaved stream of (channel, sample) pairs.
-
-    Channels compress independently; the emission log records the frame
-    interleaving a shared link would see. On end of input every channel
-    is flushed, in channel order.
-    """
-    cfg = config or EncoderConfig()
-    pairs = np.array(list(stream), dtype=object).reshape(-1, 2)
-    top = cfg.channel_count - 1
-    chans = predictor.int_array(pairs[:, 0], 0, top, f"channel id {{!r}} outside 0..{top}")
-    xs = predictor.int_array(pairs[:, 1], SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK)
-    frames, positions = [], []
-    for ch in range(cfg.channel_count):
-        index = np.flatnonzero(chans == ch)  # stream index of each of the channel's samples
-        words, pos = _encode_arrays(xs[index], cfg)
-        frames.append(words)
-        # the frame from sample qs goes out with sample qs + 5, the flush at the end of the stream
-        positions.append(np.append(index, len(pairs))[pos])
-    return MultiChannelResult(frames, positions)
-
-
-def encode_channels(
-    channels: Sequence[Sequence[int]], config: EncoderConfig | None = None
-) -> MultiChannelResult:
-    """Fast path for simultaneously sampled, equal-length channel arrays.
-
-    Matches encode_multichannel over the round-robin interleave
-    (ch0[0], ch1[0], ..., ch0[1], ...) frame for frame.
-    """
+def encode_channels(channels: Sequence[Sequence[int]], config: EncoderConfig | None = None) -> list[np.ndarray]:
+    """Encode simultaneously sampled, equal-length leads: per lead, its int64 frame words."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
     nch = len(channels)
     if nch != cfg.channel_count:
         raise ValueError(f"got {nch} channels but config says {cfg.channel_count}")
     if len({len(c) for c in channels}) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
-    encoded = [_encode_arrays(samples, cfg) for samples in channels]
-    # sample pos of channel ch is stream index pos*nch + ch; the flush is at pos n
-    return MultiChannelResult([w for w, _ in encoded], [pos * nch + ch for ch, (_, pos) in enumerate(encoded)])
+    return [encode_channel(samples, cfg) for samples in channels]

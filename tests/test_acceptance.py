@@ -56,7 +56,7 @@ def test_lossless_round_trip_on_randomized_recordings():
         cfg = EncoderConfig(
             resync_interval_samples=interval, channel_count=nch, order=order
         )
-        frames = encoder.encode_channels(chans, cfg).channel_frames
+        frames = encoder.encode_channels(chans, cfg)
         meta = container.RecordMeta(nch, 360, interval, order, (n,) * nch)
         blob = ecgz.compress(chans, 360, cfg)
         assert blob == container.write_ecgz(meta, frames)
@@ -235,7 +235,7 @@ def test_serialized_size_is_sixteen_bits_per_frame():
         cfg = EncoderConfig(
             resync_interval_samples=int(rng.choice([0, 100])), channel_count=nch
         )
-        frames = encoder.encode_channels(chans, cfg).channel_frames
+        frames = encoder.encode_channels(chans, cfg)
         meta = container.RecordMeta(nch, 250, cfg.resync_interval_samples, 2, (n,) * nch)
         blob = container.write_ecgz(meta, frames)
         header = 13 + 8 * nch

@@ -65,7 +65,7 @@ def test_container_round_trip(nch, seed, n, interval):
     rng = np.random.default_rng(seed)
     chans = [rng.integers(-2048, 2048, size=n).tolist() for _ in range(nch)]
     cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch)
-    frames = encoder.encode_channels(chans, cfg).channel_frames
+    frames = encoder.encode_channels(chans, cfg)
     meta = RecordMeta(nch, 250, interval, 2, tuple(n for _ in range(nch)))
     blob = ecgz.compress(chans, 250, cfg)
     assert blob == container.write_ecgz(meta, frames)
@@ -327,7 +327,7 @@ def test_file_and_memory_sizes_agree():
     rng = np.random.default_rng(0)
     chans = [rng.integers(-300, 300, size=500).tolist()]
     cfg = encoder.EncoderConfig(resync_interval_samples=128)
-    frames = encoder.encode_channels(chans, cfg).channel_frames
+    frames = encoder.encode_channels(chans, cfg)
     meta = RecordMeta(1, 360, 128, 2, (500,))
     blob = container.write_ecgz(meta, frames)
     assert 8 * (len(blob) - 21) == 16 * len(frames[0])

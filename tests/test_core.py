@@ -2,9 +2,10 @@
 
 The streaming ChannelEncoder must return its scalar oracle's words from
 every push; the encoder core's frame walk must find the scalar walk's
-frame starts, the encoder core must emit the streaming encoder's words at
-the same positions, and encode_multichannel the scalar encoders' words
-in their emission order; both decoders must return their scalar
+frame starts, the encoder core must emit the streaming encoder's words,
+encode_channels the scalar encoders' words per lead, and the loss
+harness's wire the scalar encoders' words in their round-robin emission
+order; both decoders must return their scalar
 oracle's samples (and unknown spans) or raise the same EcgzError class,
 on valid and on damaged streams, the erasure-tolerant one also with
 frames erased.
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgz import decoder, encoder, predictor
+from ecgz import bench, container, decoder, encoder, predictor
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
 from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar, frame_starts_scalar
@@ -53,14 +54,8 @@ def _config(order, interval):
 
 
 def _streamed(enc, xs):
-    """Words and emission positions of a streaming encoder over xs, the flush at len(xs)."""
-    words, positions = [], []
-    for i, x in enumerate(xs):
-        emitted = enc.push_sample(x)
-        words += emitted
-        positions += [i] * len(emitted)
-    tail = enc.flush()
-    return words + tail, positions + [len(xs)] * len(tail)
+    """Words of a streaming encoder over xs, the flush included."""
+    return [word for x in xs for word in enc.push_sample(x)] + enc.flush()
 
 
 @settings(max_examples=150, deadline=None)
@@ -69,10 +64,10 @@ def test_encoder_core_matches_the_streaming_encoder(case):
     kind, seed, n, order, interval = case
     xs = _signal(kind, seed, n)
     cfg = _config(order, interval)
-    got = encoder._encode_arrays(xs, cfg)
-    assert got[0].dtype == got[1].dtype == np.int64
-    assert (got[0].tolist(), got[1].tolist()) == _streamed(encoder.ChannelEncoder(cfg), xs)
-    assert (got[0].tolist(), got[1].tolist()) == _streamed(ChannelEncoderScalar(cfg), xs)
+    got = encoder.encode_channel(xs, cfg)
+    assert got.dtype == np.int64
+    assert got.tolist() == _streamed(encoder.ChannelEncoder(cfg), xs)
+    assert got.tolist() == _streamed(ChannelEncoderScalar(cfg), xs)
 
 
 def _walk_widths(kind: str, n: int, seed: int) -> np.ndarray:
@@ -145,23 +140,19 @@ def test_flush_at_every_queue_depth_matches_the_scalar_oracle():
 
 
 @settings(max_examples=150, deadline=None)
-@given(cases, st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_multichannel_encoder_matches_per_channel_scalar_encoders(case, nch, mseed):
+@given(cases, st.integers(1, 4))
+def test_multichannel_encoder_matches_per_channel_scalar_encoders(case, nch):
     kind, seed, n, order, interval = case
-    rng = np.random.default_rng(mseed)
-    # unequal channel lengths, in a random (not round-robin) interleaving
-    leads = [_signal(kind, seed + ch, int(rng.integers(0, n + 1))) for ch in range(nch)]
-    arrivals = rng.permutation(np.repeat(np.arange(nch), [len(lead) for lead in leads])).tolist()
-    samples = [iter(lead) for lead in leads]
-    stream = [(ch, next(samples[ch])) for ch in arrivals]
+    leads = [_signal(kind, seed + ch, n) for ch in range(nch)]
     cfg = EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=order)
     refs = [ChannelEncoderScalar(cfg) for _ in range(nch)]
-    log = [(ch, word) for ch, x in stream for word in refs[ch].push_sample(x)]
+    # the leads share the link round-robin, then each flushes, in lead order
+    log = [(ch, word) for i in range(n) for ch in range(nch) for word in refs[ch].push_sample(leads[ch][i])]
     log += [(ch, word) for ch, ref in enumerate(refs) for word in ref.flush()]
-    got = encoder.encode_multichannel(iter(stream), cfg)
-    assert all(words.dtype == np.int64 for words in got.channel_frames)
-    assert [words.tolist() for words in got.channel_frames] == [[w for c, w in log if c == ch] for ch in range(nch)]
-    assert got.emission_log == log
+    got = encoder.encode_channels(leads, cfg)
+    assert all(words.dtype == np.int64 for words in got)
+    assert [words.tolist() for words in got] == [[w for c, w in log if c == ch] for ch in range(nch)]
+    assert bench.LossHarness(leads, cfg).wire == container.wire_encode(log)
 
 
 def _outcome(decode, words, count, order):
@@ -455,10 +446,11 @@ def test_a_run_past_2_to_the_21_round_trips(order):
     [
         (lambda v: encoder.encode_channel([3, v]), "sample"),
         (lambda v: encoder.encode_channels([[3, v]]), "sample"),
-        (lambda v: encoder.encode_multichannel([(0, 3), (0, v)]), "sample"),
+        (lambda v: bench.LossHarness([[3, v]]), "sample"),
         (lambda v: decoder.decode_channel([0x3003, v], 2, 1), "frame word"),
         (lambda v: decoder.decode_resilient([0x3003, None, v], 2, 1), "frame word"),
     ],
+    # the LossHarness case keeps the id of encode_multichannel, the stream encoder it replaced
     ids=["encode_channel", "encode_channels", "encode_multichannel", "decode_channel", "decode_resilient"],
 )
 # an array in a list makes numpy read the list as ragged; the message still names the array
@@ -489,8 +481,7 @@ def test_encoder_core_matches_the_scalar_encoder_rail_to_rail(order, interval):
     assert np.abs(predictor.residuals(rails, order)).max() == 4095 << (order - 1)
     cfg = _config(order, interval)
     for n in [*range(7), len(rails)]:
-        words, positions = encoder._encode_arrays(rails[:n], cfg)
-        assert (words.tolist(), positions.tolist()) == _streamed(ChannelEncoderScalar(cfg), rails[:n]), n
+        assert encoder.encode_channel(rails[:n], cfg).tolist() == _streamed(ChannelEncoderScalar(cfg), rails[:n]), n
 
 
 def test_narrow_residuals_and_width_classes_past_int16():

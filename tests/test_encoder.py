@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import pending, queue_of
 import bitbuffer as bitio
-from ecgz import encoder
+from ecgz import bench, container, encoder
 from ecgz.encoder import (
     ESC,
     FRAME_A,
@@ -358,10 +358,8 @@ def test_streaming_encoder_equals_the_indexed_fast_path(xs, order, interval):
     for x in xs:
         streamed.extend(enc.push_sample(int(x)))
     streamed.extend(enc.flush())
-    words, positions = (a.tolist() for a in encoder._encode_arrays(xs, cfg))
-    assert words == streamed
-    assert len(positions) == len(words)
-    assert positions == sorted(positions)
+    words = encoder.encode_channel(xs, cfg)
+    assert words.dtype == np.int64 and words.tolist() == streamed
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,23 +373,25 @@ def test_multichannel_stream_agrees_with_per_channel_arrays(seed, n, nch, interv
     rng = np.random.default_rng(seed)
     chans = [rng.integers(-600, 600, size=n).tolist() for _ in range(nch)]
     cfg = EncoderConfig(resync_interval_samples=interval, channel_count=nch)
+    encoders = [encoder.ChannelEncoder(cfg) for _ in range(nch)]
+    # the leads share the link round-robin, then each flushes, in lead order
+    log = [(c, word) for i in range(n) for c in range(nch) for word in encoders[c].push_sample(chans[c][i])]
+    log += [(c, word) for c, enc in enumerate(encoders) for word in enc.flush()]
     by_arrays = encoder.encode_channels(chans, cfg)
-    round_robin = [(c, chans[c][i]) for i in range(n) for c in range(nch)]
-    by_stream = encoder.encode_multichannel(round_robin, cfg)
-    for got, want in zip(by_stream.channel_frames, by_arrays.channel_frames, strict=True):
-        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-    assert by_stream.emission_log == by_arrays.emission_log
+    for c, got in enumerate(by_arrays):
+        assert got.dtype == np.int64 and got.tolist() == [w for ch, w in log if ch == c]
+    assert bench.LossHarness(chans, cfg).wire == container.wire_encode(log)
 
 
 def test_emission_log_is_channel_tagged_and_complete():
     chans = [[0] * 13, [500] * 13]
     cfg = EncoderConfig(channel_count=2, resync_interval_samples=0)
-    result = encoder.encode_channels(chans, cfg)
-    assert sorted(ch for ch, _ in result.emission_log) == sorted(
-        [0] * len(result.channel_frames[0]) + [1] * len(result.channel_frames[1])
-    )
+    harness = bench.LossHarness(chans, cfg)
+    units = np.frombuffer(harness.wire, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+    tags, words = units[:, 0] >> 6, units[:, 1] << 8 | units[:, 2]
+    assert harness.n_units == len(units) == sum(len(f) for f in harness.channel_frames)
     for ch in (0, 1):
-        assert [w for c, w in result.emission_log if c == ch] == result.channel_frames[ch].tolist()
+        assert words[tags == ch].tolist() == harness.channel_frames[ch].tolist()
 
 
 def test_encode_channels_validates_shape():
@@ -403,9 +403,10 @@ def test_encode_channels_validates_shape():
 
 
 def test_multichannel_stream_rejects_unknown_channel():
-    cfg = EncoderConfig(channel_count=2)
-    with pytest.raises(ValueError):
-        encoder.encode_multichannel([(2, 0)], cfg)
+    with pytest.raises(ValueError, match=r"^channel count must be 1\.\.4$"):
+        encoder.encode_channels([[0, 1]] * 5)
+    with pytest.raises(ValueError, match=r"^got 5 channels but config says 4$"):
+        encoder.encode_channels([[0, 1]] * 5, EncoderConfig(channel_count=4))
 
 
 def test_config_validation():

@@ -1,9 +1,12 @@
-"""Parsers under seeded mutation: malformed input raises EcgzError and nothing else.
+"""Parsers under seeded mutation: malformed input raises the documented errors and nothing else.
 
 Each test mutates one valid input a fixed number of times with a seeded
-random.Random, so every run sees the same inputs. Any exception outside
-the EcgzError hierarchy (a bare ValueError, an IndexError, an
-OverflowError) fails the test and names the input that raised it.
+random.Random, so every run sees the same inputs. The codec's own
+formats (WFDB headers, containers, the wire) raise only EcgzError; the
+ingest of signal files and CSV text may also raise ValueError, for a
+value outside the 12-bit range or a malformed cell. Any other exception
+(an IndexError, an OverflowError) fails the test and names the input
+that raised it.
 """
 
 import random
@@ -11,8 +14,9 @@ import random
 import numpy as np
 
 import ecgz
-from ecgz import ingest
+from ecgz import bench, container, decoder, ingest
 from ecgz.errors import EcgzError
+from test_ingest import write_record
 
 HEADER = """\
 100 2 360 650000
@@ -21,22 +25,27 @@ HEADER = """\
 """
 # digits, the superscripts that str.isdigit accepts, separators and letters
 HEADER_ALPHABET = "0123456789²¹ \t\n/()#.-+eEx"
+# digits, signs, separators, line ends and what no cell may hold
+CSV_ALPHABET = "0123456789-+,\n\r \t.x\"²"
 HEADER_CASES = 3_000
 CONTAINER_CASES = 2_000
+WIRE_CASES = 1_000
+FORMAT212_CASES = 1_000
+CSV_CASES = 1_500
 
 
-def _mutate_text(text: str, rng: random.Random) -> str:
-    """text with 1-3 characters inserted, deleted or replaced."""
+def _mutate_text(text: str, rng: random.Random, alphabet: str = HEADER_ALPHABET) -> str:
+    """text with 1-3 characters from alphabet inserted, deleted or replaced."""
     chars = list(text)
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(chars) + 1)
         op = rng.choice(("insert", "delete", "replace")) if at < len(chars) else "insert"
         if op == "insert":
-            chars.insert(at, rng.choice(HEADER_ALPHABET))
+            chars.insert(at, rng.choice(alphabet))
         elif op == "delete":
             del chars[at]
         else:
-            chars[at] = rng.choice(HEADER_ALPHABET)
+            chars[at] = rng.choice(alphabet)
     return "".join(chars)
 
 
@@ -98,3 +107,72 @@ def test_mutated_containers_raise_only_ecgz_errors(record_property):
     # Counted, not bounded: the version-1 container cannot tell these apart from a valid one.
     record_property("silent_wrong_decodes", silent)
     assert refused > 0
+
+
+def _leads(seed: int, n: int, spread: int = 15) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [np.cumsum(rng.integers(-spread, spread + 1, size=n)).clip(-2048, 2047) for _ in range(2)]
+
+
+def test_mutated_wire_streams_raise_only_ecgz_errors(record_property):
+    leads = _leads(11, 3_000)
+    cfg = ecgz.EncoderConfig(resync_interval_samples=360, channel_count=2)
+    harness = bench.LossHarness(leads, cfg)
+    rng = random.Random(19)
+    refused = silent = 0
+    for _ in range(WIRE_CASES):
+        data = _mutate_bytes(harness.wire, rng)
+        try:
+            received = container.wire_decode(data, 2, harness.expected_frames)
+            pairs = zip(received.channels, leads)
+            decoded = [decoder.decode_resilient(frames, lead.size, cfg.order) for frames, lead in pairs]
+        except EcgzError:
+            refused += 1
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__} escaped for wire bytes {data.hex()}") from exc
+        unflagged = not received.gaps and all(not spans for _, spans in decoded)
+        if unflagged and any(samples != lead.tolist() for (samples, _), lead in zip(decoded, leads)):
+            silent += 1  # no loss seen, other samples: a flipped word bit that still parses
+    # Counted, not bounded: the wire carries no checksum either.
+    record_property("silent_wrong_decodes", silent)
+    assert 0 < refused < WIRE_CASES
+
+
+def test_mutated_format212_signals_raise_only_ecgz_or_value_errors(tmp_path):
+    leads = _leads(23, 1_000, spread=40)
+    record = write_record(tmp_path, "rec", [lead.tolist() for lead in leads], rate=360)
+    assert all(np.array_equal(got, lead) for got, lead in zip(ingest.load_record(record)[1], leads))
+    blob = (tmp_path / "rec.dat").read_bytes()
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(FORMAT212_CASES):
+        data = _mutate_bytes(blob, rng)
+        (tmp_path / "rec.dat").write_bytes(data)
+        try:
+            _, got = ingest.load_record(record)
+        except (EcgzError, ValueError):
+            refused += 1
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__} escaped for signal bytes {data.hex()}") from exc
+        assert all(c.dtype == np.int16 and c.size == 1_000 for c in got)
+    assert 0 < refused < FORMAT212_CASES
+
+
+def test_mutated_csv_text_raises_only_ecgz_or_value_errors():
+    leads = _leads(31, 300)
+    text = "".join(f"{a},{b}\n" for a, b in zip(*leads))
+    rng = random.Random(37)
+    refused = 0
+    for _ in range(CSV_CASES):
+        mutated = _mutate_text(text, rng, CSV_ALPHABET)
+        try:
+            got = ingest.read_csv(mutated)
+        except (EcgzError, ValueError):
+            refused += 1
+            continue
+        except Exception as exc:
+            raise AssertionError(f"{type(exc).__name__} escaped for CSV text {mutated!r}") from exc
+        assert all(c.dtype == np.int16 for c in got)
+    assert 0 < refused < CSV_CASES
