@@ -47,7 +47,7 @@ def decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
     """Inverse of compress: container bytes back to (meta, channels), each channel's samples as int16."""
     meta, channel_words = container.read_ecgz(data)
     channels = [
-        decoder._decode_words(words, count, meta.predictor_order)
+        decoder._decode(words, count, meta.predictor_order)[0]
         for words, count in zip(channel_words, meta.sample_counts)
     ]
     return meta, channels

@@ -390,7 +390,7 @@ class LossHarness:
         order = np.argsort(np.concatenate(at), kind="stable")
         chans = np.repeat(np.arange(nch), self.expected_frames)[order]
         words = np.concatenate(self.channel_frames)[order]
-        self.wire = container.wire_encode(list(zip(chans.tolist(), words.tolist())))
+        self.wire = container._wire_units(chans, words)
         self.n_units = int(order.size)
 
     def run(
@@ -427,7 +427,7 @@ class LossHarness:
             words, lost = received[ch]
             if words.size != self.expected_frames[ch]:
                 raise AssertionError("wire reconciliation lost track of the frame count")
-            out, known = decoder._decode_erasures(words, lost, len(samples), self.config.order)
+            out, known = decoder._decode(words, len(samples), self.config.order, lost)
             corrupted = _audit_channel(samples, self._counts[ch], lost, out, known)
             if corrupted is None:
                 exact = False

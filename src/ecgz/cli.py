@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
         if meta.sample_counts[ch] != len(samples):
             print(f"channel {ch}: length differs, source {len(samples)}, container {meta.sample_counts[ch]}")
             return 1
-        decoded = decoder._decode_words(channel_words[ch], meta.sample_counts[ch], meta.predictor_order)
+        decoded, _ = decoder._decode(channel_words[ch], meta.sample_counts[ch], meta.predictor_order)
         differ = np.flatnonzero(samples != decoded)
         if differ.size:
             i = int(differ[0])

@@ -141,6 +141,11 @@ def wire_encode(emission_log: Sequence[tuple[int, int]]) -> bytes:
         if not _is_uint(ch, 3):
             raise ValueError(f"channel id {ch} outside 0..3")
         raise ValueError(f"frame word {word!r} is not a 16-bit value")
+    return _wire_units(chans, words)
+
+
+def _wire_units(chans: np.ndarray, words: np.ndarray) -> bytes:
+    """wire_encode of integer arrays of channel ids, 0..3, and 16-bit frame words, unchecked."""
     units = np.empty((chans.size, 3), dtype=np.uint8)
     for ch in range(4):  # each channel numbers its own units
         sel = np.flatnonzero(chans == ch)

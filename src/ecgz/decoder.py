@@ -1,21 +1,22 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
-Both decoders run one array core. One gather from a table of every
-16-bit word's fields, built once per process, places every field of
-every frame at once. Type E fields are raw samples, the other fields
-residuals, and the history starts as L zeros, exactly as in the encoder. An order-L
-slope predictor is an L-th difference, so on a run of residual-coded
-samples the output is the L-fold running sum of the residuals plus the
-degree L - 1 polynomial through the L outputs before the run. Runs
-fewer than L raw samples apart chain, which makes the last L outputs of
-the runs an affine recurrence over runs; one doubling scan solves it for
-every run at once. With those in place, the L-th differences of the
-output at every raw sample and L cumulative sums rebuild the stream, in
-wrapping int16 arithmetic that is exact up to the first out-of-range
-sample (_rebuild says why).
+One array core, _decode, serves both decoders. One gather from a table
+of every 16-bit word's fields, built once per process, places every
+field of every frame at once. Type E fields are raw samples, the other
+fields residuals, and the history starts as L zeros, exactly as in the
+encoder. An order-L slope predictor is an L-th difference, so on a run
+of residual-coded samples the output is the L-fold running sum of the
+residuals plus the degree L - 1 polynomial through the L outputs before
+the run. Runs fewer than L raw samples apart chain, which makes the last
+L outputs of the runs an affine recurrence over runs; one doubling scan
+solves it for every run at once. With those in place, the L-th
+differences of the output at every raw sample and L cumulative sums
+rebuild the stream, in wrapping int16 arithmetic that is exact up to the
+first out-of-range sample (_decode says why).
 
-decode_channel is the lossless path: the stream must account for
-exactly the declared sample count, and any defect raises.
+_decode states the one defect rule for both: the first defect in stream
+order raises, and a short stream raises only when no frame was erased.
+decode_channel is the lossless view, where every sample is known.
 
 decode_resilient accepts a stream where whole frames are missing (None
 entries). A missing frame desynchronizes the predictor; until L
@@ -24,9 +25,8 @@ decoder emits None for every residual-coded sample instead of guessing.
 The core finds, from the boundaries of the runs of raw samples, where
 each erasure's resync happens. Because a lost frame may have carried
 1..6 samples, erased frames contribute no output positions and the
-caller aligns the result against whatever ground truth it holds. The
-list of words is read into arrays once; the receive path of the loss
-harness hands the wire's arrays to the core directly.
+caller aligns the result against whatever ground truth it holds.
+ecgz.decompress, ecgz verify and the loss harness call _decode directly.
 """
 
 from __future__ import annotations
@@ -100,17 +100,20 @@ def _sample_counts(words: np.ndarray) -> np.ndarray:
     return np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
 
 
-def _rebuild(
-    words: np.ndarray, counts: np.ndarray, lost: np.ndarray, stop: int, order: int
+def _decode(
+    frames: Sequence[int], expected_count: int, order: int, lost: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode frames [0, stop) into (samples, known) int16 and bool arrays.
+    """Decode frame words into (samples, known), int16 and bool arrays over the received frames' samples.
 
-    counts holds each frame's sample count, 0 for the erased frames that
-    lost marks. A sample is known when it is raw, or when a run of L
-    consecutive raw samples came before it with no erasure since; the L
-    zeros of initial history count as such a run. Unknown samples hold
-    junk. Raises CorruptStreamError for the first known sample outside
-    the 12-bit range.
+    frames is a list or an integer array of words; lost, when given, masks
+    the erased frames, whose words are ignored. The first defect in stream
+    order raises, as in a frame-by-frame decoder: a word that is not a
+    frame, a frame past expected_count samples or a known sample outside
+    the 12-bit range. A short stream raises only when no frame was erased.
+
+    A sample is known when it is raw, or when a run of L consecutive raw
+    samples came before it with no erasure since; the L zeros of initial
+    history count as such a run. Unknown samples hold junk.
 
     The rebuild runs in wrapping int16 arithmetic. Every step is a ring
     operation (sums, differences, products with integer weights), so
@@ -121,14 +124,21 @@ def _rebuild(
     and comes out exact, and the error names that value. Samples after
     it may wrap.
     """
+    words = predictor.int_array(frames, *_INT64, _WORD_CHECK)  # the 16-bit range is checked in stream order
+    lost = np.zeros(words.size, dtype=bool) if lost is None else lost
+    counts = _sample_counts(words)
+    counts[lost] = 0
+    ends = np.cumsum(counts)
+    bad_word, surplus = _first((counts == 0) & ~lost), _first(ends > expected_count)
+    stop = min(bad_word, surplus)  # frames before the first defect decode normally
     L = len(predictor.coefficients(order))
-    words, counts, lost = words[:stop], counts[:stop], lost[:stop]
-    starts = np.cumsum(counts) - counts + L  # buffer index of each frame's first sample
-    n = int(starts[-1] + counts[-1]) if stop else L
+    n = int(ends[stop - 1]) + L if stop else L
+    counts, starts = counts[:stop], ends[:stop]
+    starts -= counts - L  # in place: the buffer index of each frame's first sample
 
     buf = np.zeros(n, dtype=np.int16)  # L zeros of history, then every field
     # output sample i is field i - (starts - L) of its frame, at 6 * word + field in the flat table
-    at = np.repeat(6 * words - (starts - L), counts)
+    at = np.repeat(6 * words[:stop] - (starts - L), counts)
     at += np.arange(n - L)
     buf[L:] = _field_table().ravel()[at]
     is_raw = np.zeros(n + 1, dtype=bool)  # the L zeros count as raw; a stop mark past the end
@@ -136,7 +146,7 @@ def _rebuild(
     is_raw[starts[counts == 1]] = True  # Type E, the one single-sample frame
     edges = np.diff(is_raw.view(np.int8))
     firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
-    known = _known(is_raw[:n], firsts, lasts, starts[lost], L)
+    known = _known(is_raw[:n], firsts, lasts, starts[lost[:stop]], L)
 
     # Rebuild every maximal run of residual samples from the L outputs
     # before it: the last L samples of all runs at once (_run_exits), then
@@ -163,6 +173,12 @@ def _rebuild(
     wrong = _first(known & ((out < lo) | (out > hi)))
     if wrong < out.size:
         raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
+    if bad_word < surplus:
+        parse_header(int(words[bad_word]))  # raises for this word
+    if surplus < bad_word:
+        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
+    if out.size < expected_count and not lost.any():
+        raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
     return out, known
 
 
@@ -286,29 +302,8 @@ def _first(mask: np.ndarray) -> int:
 
 
 def decode_channel(frames: Sequence[int], expected_count: int, order: int = 2) -> list[int]:
-    """Losslessly rebuild one channel from its frame words.
-
-    The frame stream must account for exactly expected_count samples;
-    anything short, long, or malformed raises. Of several defects the
-    first in stream order is reported, as a frame-by-frame decoder would.
-    """
-    return _decode_words(frames, expected_count, order).tolist()
-
-
-def _decode_words(frames: Sequence[int], expected_count: int, order: int) -> np.ndarray:
-    """decode_channel returning an int16 array; frames may be a list or an integer array."""
-    words = predictor.int_array(frames, *_INT64, _WORD_CHECK)  # the 16-bit range is checked in stream order
-    counts = _sample_counts(words)
-    bad_word, surplus = _first(counts == 0), _first(np.cumsum(counts) > expected_count)
-    # frames before the first defect decode normally
-    out, _ = _rebuild(words, counts, np.zeros(words.size, dtype=bool), min(bad_word, surplus), order)
-    if bad_word < surplus:
-        parse_header(int(words[bad_word]))  # raises for this word
-    if surplus < bad_word:
-        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
-    if out.size != expected_count:
-        raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
-    return out
+    """Losslessly rebuild exactly expected_count samples from one channel's frame words; the first defect raises."""
+    return _decode(frames, expected_count, order)[0].tolist()
 
 
 def decode_resilient(
@@ -327,10 +322,9 @@ def decode_resilient(
 
     Erased frames contribute no output entries, so when losses occurred
     len(samples) < expected_count and absolute positions past the first
-    loss are only as good as the caller's alignment. On a loss-free
-    stream the result equals decode_channel exactly. A stream that
-    carries more than expected_count samples raises; a short one raises
-    only when no frame was erased.
+    loss are only as good as the caller's alignment. A short stream
+    raises only when no frame was erased, so on a loss-free stream the
+    result, or the error, equals decode_channel's exactly.
     """
     received = list(frames)
     lost = np.zeros(len(received), dtype=bool)
@@ -341,33 +335,12 @@ def decode_resilient(
             received[i], lost[i] = 0, True
     except ValueError:
         pass
-    words = predictor.int_array(received, *_INT64, _WORD_CHECK)
-    out, known = _decode_erasures(words, lost, expected_count, order)
+    out, known = _decode(received, expected_count, order, lost)
     spans = _runs(~known)
     samples = out.tolist()
     for start, stop in spans:
         samples[start:stop] = [None] * (stop - start)
     return samples, spans
-
-
-def _decode_erasures(
-    words: np.ndarray, lost: np.ndarray, expected_count: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """decode_resilient as arrays: (samples, known), int16 and bool, over the received frames' samples.
-
-    words is an int64 array of frame words and lost the bool mask of the
-    erased frames, whose words are ignored.
-    """
-    counts = np.where(lost, 0, _sample_counts(words))
-    bad_word = _first((counts == 0) & ~lost)
-    out, known = _rebuild(words, counts, lost, bad_word, order)
-    if bad_word < words.size:
-        parse_header(int(words[bad_word]))  # raises for this word
-    if out.size > expected_count:
-        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
-    if out.size < expected_count and not lost.any():
-        raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
-    return out, known
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:

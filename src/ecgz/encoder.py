@@ -47,6 +47,7 @@ the uint16 bit patterns and widened to int64 once, at the end.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,11 +103,10 @@ def min_width_class(e: int) -> int:
     return ESC
 
 
-# Width class of e at index e + 64, for -64 <= e < 64; every other residual is ESC.
-_WIDTH_BY_RESIDUAL = [min_width_class(e) for e in range(-64, 64)]
-# The same classes for every int16 residual, indexed by its uint16 bit pattern.
+# The width class of every int16 residual by its uint16 bit pattern, ESC outside -64..63.
 _WIDTH_TABLE = np.full(1 << 16, ESC, dtype=np.int8)
-_WIDTH_TABLE[np.arange(-64, 64) & 0xFFFF] = _WIDTH_BY_RESIDUAL
+_WIDTH_TABLE[np.arange(-64, 64) & 0xFFFF] = [min_width_class(e) for e in range(-64, 64)]
+_width_list = functools.cache(_WIDTH_TABLE.tolist)  # ChannelEncoder's copy, a plain int per lookup, made on first use
 
 
 def width_classes(errors: np.ndarray) -> np.ndarray:
@@ -191,13 +191,18 @@ class ChannelEncoder:
         # Width classes of the last six samples pushed, newest in the low 4 bits.
         # A frame is chosen only with six queued, and those are the last six pushed.
         self._key = 0
-        self._sizes = _size_table()
+        self._sizes, self._widths = _size_table(), _width_list()
         # counts down to 0 at each resync; starts at 0 (never reached again) when resync is off
         self._until_resync = self.config.resync_interval_samples
         self.resync_pending = 0
 
     def push_sample(self, x: int) -> list[int]:
-        """Accept one sample; return the frames it caused (possibly none)."""
+        """Accept one sample, an integer in the 12-bit range (else ValueError, changing nothing); return its frames."""
+        if type(x) is not int:
+            try:
+                x = operator.index(x)
+            except TypeError:
+                raise ValueError(predictor.SAMPLE_CHECK.format(x)) from None
         if not SAMPLE_MIN <= x <= SAMPLE_MAX:
             raise ValueError(f"sample {x} outside {SAMPLE_MIN}..{SAMPLE_MAX}")
         e, d = x, self._diffs
@@ -206,7 +211,7 @@ class ChannelEncoder:
         xs, es = self._xs, self._es
         xs.append(x)
         es.append(e)
-        self._key = key = (self._key << 4 | (_WIDTH_BY_RESIDUAL[e + 64] if -64 <= e < 64 else ESC)) & 0xFFFFFF
+        self._key = key = (self._key << 4 | self._widths[e & 0xFFFF]) & 0xFFFFFF  # exact: |e| <= 32,760
         if len(xs) < 6:
             emitted = []
         elif self.resync_pending:
@@ -225,8 +230,7 @@ class ChannelEncoder:
 
     def flush(self) -> list[int]:
         """Drain the queue at end of input, greedily: a pending resync does not apply."""
-        x = predictor.int_array(self._xs, SAMPLE_MIN, SAMPLE_MAX, predictor.SAMPLE_CHECK, np.int16)
-        err = np.array(self._es, dtype=np.int16)
+        x, err = np.array(self._xs, dtype=np.int16), np.array(self._es, dtype=np.int16)
         self._xs, self._es = [], []
         return _pack(x, err, _frame_walk(_frame_counts(width_classes(err)), 0, 0)).tolist()
 

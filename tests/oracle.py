@@ -137,6 +137,8 @@ def decode_resilient_scalar(frames, expected_count: int, order: int = 2):
             recent = [None] * L
             continue
         ftype, fields = unpack_frame(word)
+        if len(out) + ftype.field_count > expected_count:
+            raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
         if ftype.carries_original:
             x = fields[0]
             out.append(x)
@@ -160,8 +162,6 @@ def decode_resilient_scalar(frames, expected_count: int, order: int = 2):
                 out.append(None)
                 recent.insert(0, None)
                 recent.pop()
-    if len(out) > expected_count:
-        raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
     if not saw_loss and len(out) < expected_count:
         raise TruncationError(f"frame stream ended at {len(out)} of {expected_count} samples")
     spans = []

@@ -269,7 +269,7 @@ def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed)
     cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=1 + seed % 4)
     harness = bench.LossHarness(chans, cfg)
     pattern = bench.LossPattern(mode, drop_probability=0.05, burst_length=1 + seed % 5)
-    erasures = decoder._decode_erasures
+    erasures = decoder._decode
 
     def wrong_known_sample(*args):  # a decoder that claims a sample it got wrong
         out, known = erasures(*args)
@@ -277,7 +277,7 @@ def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed)
             out[np.flatnonzero(known)[seed % np.count_nonzero(known)]] += 1
         return out, known
 
-    with mock.patch.object(decoder, "_decode_erasures", wrong_known_sample if tamper else erasures):
+    with mock.patch.object(decoder, "_decode", wrong_known_sample if tamper else erasures):
         report = harness.run(pattern, seed=seed)
         expected = _report_by_frame_walk(harness, set(report.dropped_units))
     got = (report.spans, report.corrupted_samples, report.known_samples_exact)

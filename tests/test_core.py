@@ -236,6 +236,16 @@ def test_resilient_core_matches_the_scalar_oracle(case, mutation, erasure, mseed
     got = _outcome(decoder.decode_resilient, frames, count, order)
     want = _outcome(decode_resilient_scalar, frames, count, order)
     assert got == want
+    if erasure == "none":  # a loss-free stream decodes, or fails, exactly as decode_channel does
+        resilient = _samples_or_error(lambda *a: decoder.decode_resilient(*a)[0], frames, count, order)
+        assert resilient == _samples_or_error(decoder.decode_channel, frames, count, order)
+
+
+def _samples_or_error(decode, words, count, order):
+    try:
+        return decode(words, count, order)
+    except EcgzError as exc:
+        return type(exc), str(exc)
 
 
 def test_first_bad_sample_is_exact_where_int64_wraps():
@@ -438,7 +448,8 @@ def test_a_run_past_2_to_the_21_round_trips(order):
     firsts, lasts = _residual_runs(words)
     assert (lasts - firsts + 1).max() > 1 << 21
     assert firsts.size > 200 and _longest_chain(firsts, lasts, order) > (order > 1)
-    assert np.array_equal(decoder._decode_words(words, xs.size, order), xs)
+    out, known = decoder._decode(words, xs.size, order)
+    assert np.array_equal(out, xs) and known.all()
 
 
 @pytest.mark.parametrize(

@@ -330,4 +330,9 @@ def test_resilient_rejects_surplus_and_truncation():
     # with an explicit loss a short result is expected, not an error
     out, _ = decoder.decode_resilient([None, words[1]], 12, 2)
     assert len(out) == 6
+    # a surplus raises at its frame, before the reserved header after it, as in decode_channel
+    words = encoder.encode_channel(list(range(1, 13))).tolist() + [0x2000]
+    for decode in (decoder.decode_channel, decoder.decode_resilient):
+        with pytest.raises(CorruptStreamError, match="^frame stream carries more than the declared 10 samples$"):
+            decode(words, 10, 2)
 

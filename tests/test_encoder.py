@@ -1,6 +1,7 @@
 """Width classification, frame selection, packing, and channel encoding."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -62,18 +63,45 @@ def test_vectorized_width_classes_match_scalar(errors):
     assert got.tolist() == [encoder.min_width_class(e) for e in errors]
 
 
-def test_flush_rejects_a_queued_float_at_every_queue_depth():
-    # the float's residual is wide, so no push packs it and it waits in the queue for the flush
+def test_push_sample_rejects_a_float_at_every_queue_depth():
+    # the float's residual is wide: had it queued, it would have waited there for the flush
+    cfg = EncoderConfig(resync_interval_samples=0)
     depths = set()
     for prefix in range(12):
-        enc = encoder.ChannelEncoder(EncoderConfig(resync_interval_samples=0))
-        for x in range(prefix):
-            enc.push_sample(x)
-        enc.push_sample(1000.5)
+        enc = encoder.ChannelEncoder(cfg)
+        words = [w for x in range(prefix) for w in enc.push_sample(x)]
         depths.add(len(enc._xs))
         with pytest.raises(ValueError, match=r"^sample 1000\.5 is not an integer"):
-            enc.flush()
-    assert depths == {1, 2, 3, 4, 5}
+            enc.push_sample(1000.5)
+        assert words + enc.flush() == encoder.encode_channel(list(range(prefix)), cfg).tolist()
+    assert depths == {0, 1, 2, 3, 4, 5}
+
+
+# np.int16 residuals of these samples overflow when a Type A header is or-ed in, unless read as ints
+NUMPY_SAMPLES = [5, 9, -3, 100, 7, 7, 8, 2, 40, 1, 0]
+
+
+@pytest.mark.parametrize("value", [5.0, np.float64(5), "5"], ids=["float", "float64", "str"])
+@pytest.mark.parametrize("at", [0, 4, 11])
+def test_push_sample_rejects_a_non_integer_and_changes_nothing(value, at):
+    cfg = EncoderConfig(resync_interval_samples=5)
+    enc = encoder.ChannelEncoder(cfg)
+    words = [w for x in NUMPY_SAMPLES[:at] for w in enc.push_sample(x)]
+    with pytest.raises(ValueError, match=rf"^sample {re.escape(repr(value))} is not an integer"):
+        enc.push_sample(value)
+    words += [w for x in NUMPY_SAMPLES[at:] for w in enc.push_sample(x)]
+    assert words + enc.flush() == encoder.encode_channel(NUMPY_SAMPLES, cfg).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+def test_push_sample_reads_numpy_integers_as_ints(dtype):
+    def streamed(samples):
+        enc = encoder.ChannelEncoder()
+        return [w for x in samples for w in enc.push_sample(x)] + enc.flush()
+
+    words = streamed(np.array(NUMPY_SAMPLES, dtype=dtype))
+    assert words == streamed(NUMPY_SAMPLES) == encoder.encode_channel(NUMPY_SAMPLES).tolist()
+    assert all(type(w) is int for w in words)
 
 
 # ---------------------------------------------------------------------------
