@@ -175,13 +175,14 @@ def evaluate_channels(
     """Score one record's channels, charging each for the frames its container holds."""
     _, channel_words = container.read_ecgz(compress(channels, 0, config))
     escape_bits = predictor.residual_bits(config.order)  # the selective estimator's raw residual
+    half = 1 << (escape_bits - 1)  # every residual is at least -half: the histogram counts from there
     rows = []
     for ch, (samples, words) in enumerate(zip(channels, channel_words)):
         bits = 16 * words.size
         raw = len(samples) * orig_bits
-        errors = predictor.residuals(samples, config.order)
-        symbols, counts = np.unique(errors, return_counts=True)
-        hist = dict(zip(symbols.tolist(), counts.tolist()))
+        counts = np.bincount(np.add(predictor.residuals(samples, config.order), half, dtype=np.intp))
+        symbols = np.flatnonzero(counts)  # the residuals that occur, ascending, offset by half
+        hist = dict(zip((symbols - half).tolist(), counts[symbols].tolist()))
         ideal = baselines.ideal_huffman_bits_from_hist(hist)
         sel = {m: baselines.selective_huffman_bits_from_hist(hist, m, escape_bits) for m in m_values}
         rows.append(

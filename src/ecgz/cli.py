@@ -31,7 +31,7 @@ format 212) and point --data or ECGZ_MITDB_DIR at the directory.
 """
 
 
-CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write by decompress
+CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write by decompress; its cell table, mask and compress index grow with it
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,8 +151,8 @@ def _csv_bytes(columns: list[np.ndarray]) -> bytes:
     last = len(columns) - 1
     at = [np.subtract(c, SAMPLE_MIN, dtype=np.intp) for c in columns]  # numpy gathers slower through int16
     table = np.stack([cells[int(ch == last)][i] for ch, i in enumerate(at)], axis=1)
-    raw = table.view(np.uint8)
-    return raw[raw != 0].tobytes()
+    raw = table.view(np.uint8).ravel()  # compress on the flat view runs faster than a mask on the 2-D view
+    return raw.compress(raw != 0).tobytes()
 
 
 def cmd_decompress(args) -> int:

@@ -37,11 +37,11 @@ fill in the frames between anchors.
 The core runs at the datapath's widths. Samples and residuals are int16,
 which is exact: an order-L residual of 12-bit input, the L-th difference,
 spans at most 4095 * 2**(L-1) = 32,760, and each lower difference less.
-Width classes are int8, one gather from a 65,536-entry table indexed by
-the residual's uint16 bit pattern. The step tables and the packing
-gathers index with intp, numpy's own index type: take converts any
-other index to a fresh intp copy first. Words are or-ed together from
-the uint16 bit patterns and widened to int64 once, at the end.
+Width classes (int8) and frame sizes are sums of comparisons, not table
+gathers. The step tables and the packing gathers index with intp, numpy's
+own index type: take converts any other index to a fresh intp copy first.
+Words are or-ed together from the uint16 bit patterns and widened to
+int64 once, at the end.
 """
 
 from __future__ import annotations
@@ -103,16 +103,19 @@ def min_width_class(e: int) -> int:
     return ESC
 
 
-# The width class of every int16 residual by its uint16 bit pattern, ESC outside -64..63.
-_WIDTH_TABLE = np.full(1 << 16, ESC, dtype=np.int8)
-_WIDTH_TABLE[np.arange(-64, 64) & 0xFFFF] = [min_width_class(e) for e in range(-64, 64)]
-_width_list = functools.cache(_WIDTH_TABLE.tolist)  # ChannelEncoder's copy, a plain int per lookup, made on first use
-
-
 def width_classes(errors: np.ndarray) -> np.ndarray:
     """Vectorized min_width_class as int8; residuals beyond int16 are ESC, so they are clipped to it."""
-    e = np.clip(np.asarray(errors), -(1 << 15), (1 << 15) - 1).astype(np.int16, copy=False)
-    return _WIDTH_TABLE[e.view(np.uint16)]
+    e = np.asarray(errors)
+    e = e if e.dtype == np.int16 else np.clip(e, -(1 << 15), (1 << 15) - 1).astype(np.int16)
+    a = e ^ (e >> 15)  # e, or -e - 1 below 0: e fits c bits when a < 2**(c-1)
+    c = (a > 3).view(np.int8) + (a > 15) + 1
+    c += c  # 2 + 2[a > 3] + 2[a > 15], then + [a > 1] + [a > 63]
+    c += (a > 1).view(np.int8) + (a > 63)
+    return c
+
+
+# ChannelEncoder's table, a plain int per uint16 bit pattern of a residual, made on first use
+_width_list = functools.cache(lambda: width_classes(np.arange(1 << 16, dtype=np.uint16).view(np.int16)).tolist())
 
 
 @dataclass(frozen=True)
@@ -250,19 +253,20 @@ def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) 
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
-    """Greedy frame size for a queue front at every start position.
+    """Greedy frame size, as int8, for a queue front at every start position.
 
-    Widths past the end are padded above ESC, so the same table serves
-    the final flush, where only types that fit the short queue qualify.
+    The type conditions nest (D implies C implies A implies B), so the
+    priority winner's size is 1 + [B] + [A] + [C] + 2[D]. Widths past the
+    end are padded above ESC, so the same rule serves the final flush,
+    where only types that fit the short queue qualify.
     """
-    w = np.concatenate([widths, np.full(6, ESC + 1, dtype=widths.dtype)])
-    widest = {2: np.maximum(w[:-1], w[1:])}  # widest[k][i]: widest of the k samples from i
-    widest[3] = np.maximum(widest[2][:-1], w[2:])
-    widest[4] = np.maximum(widest[3][:-1], w[3:])
-    widest[6] = np.maximum(widest[4][:-2], widest[2][4:])
-    counts = np.full(widths.size, FRAME_E.field_count, dtype=np.int8)
-    for ft in reversed(PRIORITY[:-1]):  # the densest type is written last and wins
-        counts[widest[ft.field_count][: widths.size] <= ft.field_width] = ft.field_count
+    w = np.concatenate([widths, np.full(5, ESC + 1, dtype=widths.dtype)])  # the last window of six reads 5 past the end
+    w2 = np.maximum(w[:-1], w[1:])  # wk[i]: widest of the k samples from i
+    w3 = np.maximum(w2[:-1], w[2:])
+    w4 = np.maximum(w3[:-1], w[3:])
+    d = np.maximum(w4[:-2], w2[4:]) <= FRAME_D.field_width
+    counts = (w2[:-4] <= FRAME_B.field_width).view(np.int8) + (w3[:-3] <= FRAME_A.field_width)
+    counts += (w4[:-2] <= FRAME_C.field_width).view(np.int8) + d + d + FRAME_E.field_count
     return counts
 
 

@@ -6,14 +6,15 @@ parses one header. The decoders walk the words one frame at a time
 with a plain history list, so they state the lossless and the
 erasure-tolerant decode contracts without any of the array core's
 bookkeeping. The streaming encoder queues PendingSample objects and
-picks each frame from the set of enabled types, and the frame walk
-steps from one frame start to the next in a Python loop; the wire
-sender and receiver walk the stream one 3-byte unit at a time; the
-container codec packs and unpacks words with struct; the CSV reader
-parses cell by cell and the CSV writer formats with %d; the loss audit
-walks every frame and sample; the Huffman size estimators take a residual
-list and histogram it first. Tests diff the package's array paths
-against them.
+picks each frame from the set of enabled types, the priority-loop
+frame sizer writes each type's size over the positions it fits, densest
+last, and the frame walk steps from one frame start to the next in a
+Python loop; the wire sender and receiver walk the stream one 3-byte
+unit at a time; the container codec packs and unpacks words with
+struct; the CSV reader parses cell by cell and the CSV writer formats
+with %d; the loss audit walks every frame and sample; the Huffman size
+estimators take a residual list and histogram it first. Tests diff the
+package's array paths against them.
 """
 
 import csv
@@ -36,6 +37,7 @@ from ecgz.container import (
 )
 from ecgz.decoder import parse_header, unpack_frame
 from ecgz.encoder import (
+    ESC,
     FRAME_A,
     FRAME_B,
     FRAME_C,
@@ -196,6 +198,25 @@ def select_frame(queue: Sequence[PendingSample], resync_pending: int = 0) -> Fra
         if ft.tag in enabled:
             return ft
     raise AssertionError("unreachable: Type E is always enabled")
+
+
+def frame_counts_priority(widths: np.ndarray) -> np.ndarray:
+    """Greedy frame size at every start position, by masked writes in priority order.
+
+    Each type's size is written wherever the widest of its first
+    field_count widths fits its field width, the densest type last, so
+    it wins. Widths past the end are padded above ESC, as in the final
+    flush, where only types that fit the short queue qualify.
+    """
+    w = np.concatenate([widths, np.full(6, ESC + 1, dtype=widths.dtype)])
+    widest = {2: np.maximum(w[:-1], w[1:])}  # widest[k][i]: widest of the k samples from i
+    widest[3] = np.maximum(widest[2][:-1], w[2:])
+    widest[4] = np.maximum(widest[3][:-1], w[3:])
+    widest[6] = np.maximum(widest[4][:-2], widest[2][4:])
+    counts = np.full(widths.size, FRAME_E.field_count, dtype=np.int8)
+    for ft in reversed(PRIORITY[:-1]):
+        counts[widest[ft.field_count][: widths.size] <= ft.field_width] = ft.field_count
+    return counts
 
 
 def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:

@@ -54,6 +54,22 @@ def test_evaluate_channels_row_contents():
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_evaluate_channels_histogram_is_the_sorted_residual_count(order):
+    # rail-to-rail samples reach the widest residual of the order, +-4095 * 2**(order-1)
+    rng = np.random.default_rng(order)
+    walk = np.cumsum(rng.integers(-40, 41, size=900)).clip(-2048, 2047).tolist()
+    xs = walk + [2047, -2048] * 50
+    hists = []
+    real = bench.baselines.ideal_huffman_bits_from_hist
+    with mock.patch.object(bench.baselines, "ideal_huffman_bits_from_hist", lambda h: hists.append(h) or real(h)):
+        bench.evaluate_channels("walk", [xs], encoder.EncoderConfig(resync_interval_samples=0, order=order))
+    symbols, counts = np.unique(predictor.residuals(xs, order), return_counts=True)
+    (hist,) = hists
+    assert list(hist.items()) == list(zip(symbols.tolist(), counts.tolist()))
+    assert all(type(k) is int and type(v) is int for k, v in hist.items())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_selective_escapes_cost_the_residual_width_of_the_order(order):
     rng = np.random.default_rng(order)
     xs = np.cumsum(rng.integers(-40, 41, size=800)).clip(-2048, 2047).tolist()

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 from ecgz import bench, container, decoder, encoder, predictor
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError
-from oracle import ChannelEncoderScalar, decode_channel_scalar, decode_resilient_scalar, frame_starts_scalar
+from oracle import (
+    ChannelEncoderScalar,
+    decode_channel_scalar,
+    decode_resilient_scalar,
+    frame_counts_priority,
+    frame_starts_scalar,
+)
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
 
@@ -476,12 +482,25 @@ def test_array_entry_points_reject_what_is_not_an_integer(call, what, value):
 # classes, uint16 words
 
 
-def test_width_table_matches_min_width_class_for_every_int16_residual():
-    e = np.arange(-(1 << 15), 1 << 15)
-    expected = [encoder.min_width_class(v) for v in e.tolist()]
-    assert encoder._WIDTH_TABLE.dtype == np.int8 and encoder._WIDTH_TABLE.size == 1 << 16
-    assert encoder._WIDTH_TABLE[e & 0xFFFF].tolist() == expected
-    assert encoder.width_classes(e.astype(np.int16)).tolist() == expected
+def test_width_classes_and_width_list_match_min_width_class_for_every_16_bit_pattern():
+    patterns = np.arange(1 << 16, dtype=np.uint16)
+    expected = [encoder.min_width_class(v) for v in patterns.view(np.int16).tolist()]
+    classes = encoder.width_classes(patterns.view(np.int16))
+    assert classes.dtype == np.int8 and classes.tolist() == expected
+    assert encoder.width_classes(patterns.view(np.int16).astype(np.int64)).tolist() == expected
+    # the streaming encoder's list, indexed by e & 0xFFFF
+    assert encoder._width_list() == expected and all(type(w) is int for w in encoder._width_list())
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_frame_counts_match_the_priority_loop_on_long_width_arrays(dtype):
+    rng = np.random.default_rng(20)
+    for kind in ("all_D", "all_E", "mixed", "mostly_D", "mostly_E"):
+        for n in [*range(13), *rng.integers(13, 200_000, size=6).tolist()]:
+            widths = _walk_widths(kind, n, seed=int(rng.integers(1 << 32))).astype(dtype)
+            got = encoder._frame_counts(widths)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, frame_counts_priority(widths)), (kind, n)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])

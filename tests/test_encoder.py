@@ -161,6 +161,23 @@ def test_select_frame_matches_priority_oracle(widths):
     assert encoder._TYPE_BY_COUNT[count].tag == oracle_select(widths)
 
 
+def queue_of_widths(widths):
+    return [encoder.PendingSample(0, 0, w) for w in widths]
+
+
+def test_frame_counts_match_the_scalar_priority_rule_on_every_window():
+    # a window of k < 6 classes is a flush queue, padded past its end; entry i sizes the queue from i
+    classes = [*encoder.WIDTH_CLASSES, ESC]
+    for k in range(1, 6):
+        for window in itertools.product(classes, repeat=k):
+            expected = [oracle_select_frame(queue_of_widths(window[i:])).field_count for i in range(k)]
+            assert encoder._frame_counts(np.array(window, dtype=np.int8)).tolist() == expected, window
+    # six-class windows side by side: the entry at each window's front sees that window alone
+    windows = list(itertools.product(classes, repeat=6))
+    got = encoder._frame_counts(np.array(windows, dtype=np.int8).ravel())[::6]
+    assert got.tolist() == [oracle_select_frame(queue_of_widths(w)).field_count for w in windows]
+
+
 def test_size_table_matches_the_frame_size_rule_exhaustively():
     table = encoder._size_table()
     classes = [*encoder.WIDTH_CLASSES, ESC]
