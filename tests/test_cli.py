@@ -197,6 +197,21 @@ def test_simulate_loss_none_mode_is_lossless(capsys):
     assert "dropped 0 unit(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_simulate_loss_verdict_counts_the_total_after_one_lost_unit(order, capsys):
+    # at order 3 two raw samples per resync cannot restart the predictor: seed 1 loses 30,540
+    # of 36,000 samples in spans that each stay within the bound, so only the total shows it
+    argv = ["simulate-loss", "--order", str(order), "--loss-mode", "single", "--runs", "5", "--duration", "100"]
+    code = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    if order == 3:
+        assert code == 1
+        assert lines[1].startswith("seed 1: dropped 1 unit(s), corrupted 30540/36000 samples")
+        assert lines[1].endswith("FAIL")
+    else:
+        assert code == 0 and not any(line.endswith("FAIL") for line in lines)
+
+
 def test_simulate_loss_detects_csv_case_insensitively(tmp_path, capsys):
     src, _ = walk_csv(tmp_path, n=900, nch=2)
     argv = ["--loss-mode", "single", "--resync-samples", "200", "--seed", "4"]

@@ -74,6 +74,9 @@ def test_encoder_core_matches_the_streaming_encoder(case):
     assert got.dtype == np.int64
     assert got.tolist() == _streamed(encoder.ChannelEncoder(cfg), xs)
     assert got.tolist() == _streamed(ChannelEncoderScalar(cfg), xs)
+    # an int16 lead streams to plain-int words, through every resync the case reaches
+    streamed = _streamed(encoder.ChannelEncoder(cfg), np.array(xs, dtype=np.int16))
+    assert streamed == got.tolist() and all(type(w) is int for w in streamed)
 
 
 def _walk_widths(kind: str, n: int, seed: int) -> np.ndarray:
@@ -156,8 +159,12 @@ def test_multichannel_encoder_matches_per_channel_scalar_encoders(case, nch):
     log = [(ch, word) for i in range(n) for ch in range(nch) for word in refs[ch].push_sample(leads[ch][i])]
     log += [(ch, word) for ch, ref in enumerate(refs) for word in ref.flush()]
     got = encoder.encode_channels(leads, cfg)
-    assert all(words.dtype == np.int64 for words in got)
+    assert type(got) is list and all(words.dtype == np.int64 for words in got)
     assert [words.tolist() for words in got] == [[w for c, w in log if c == ch] for ch in range(nch)]
+    # one 2-D array of leads gives the same list of word arrays
+    from_array = encoder.encode_channels(np.array(leads, dtype=np.int64), cfg)
+    assert type(from_array) is list and len(from_array) == nch
+    assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(from_array, got))
     assert bench.LossHarness(leads, cfg).wire == container.wire_encode(log)
 
 

@@ -12,6 +12,7 @@ that raised it.
 import random
 
 import numpy as np
+import pytest
 
 import ecgz
 from ecgz import bench, container, decoder, ingest
@@ -32,6 +33,8 @@ CONTAINER_CASES = 2_000
 WIRE_CASES = 1_000
 FORMAT212_CASES = 1_000
 CSV_CASES = 1_500
+# the byte mutations of every target; the duplicate cases pass their own ops
+MUTATIONS = ("flip", "truncate", "insert", "replace")
 
 
 def _mutate_text(text: str, rng: random.Random, alphabet: str = HEADER_ALPHABET) -> str:
@@ -71,9 +74,9 @@ def _container() -> tuple[bytes, list[np.ndarray]]:
     return ecgz.compress(leads, 360, cfg), leads
 
 
-def _mutate_bytes(blob: bytes, rng: random.Random) -> bytes:
+def _mutate_bytes(blob: bytes, rng: random.Random, ops: tuple[str, ...] = MUTATIONS) -> bytes:
     data = bytearray(blob)
-    op = rng.choice(("flip", "truncate", "insert", "replace"))
+    op = rng.choice(ops)
     if op == "flip":
         for _ in range(rng.randint(1, 3)):
             data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
@@ -82,18 +85,23 @@ def _mutate_bytes(blob: bytes, rng: random.Random) -> bytes:
     elif op == "insert":
         at = rng.randrange(len(data) + 1)
         data[at:at] = bytes(rng.randrange(256) for _ in range(rng.randint(1, 4)))
-    else:
+    elif op == "replace":
         for _ in range(rng.randint(1, 3)):
             data[rng.randrange(len(data))] = rng.randrange(256)
+    else:  # "duplicate": 1-6 bytes anywhere; "duplicate_units": 1-3 whole 3-byte wire units
+        unit, most = (3, 3) if op == "duplicate_units" else (1, 6)
+        at, size = unit * rng.randrange(len(data) // unit), unit * rng.randint(1, most)
+        data[at + size : at + size] = data[at : at + size]
     return bytes(data)
 
 
-def test_mutated_containers_raise_only_ecgz_errors(record_property):
+@pytest.mark.parametrize("ops, seed", [(MUTATIONS, 17), (("duplicate",), 41)], ids=["mixed", "duplicate"])
+def test_mutated_containers_raise_only_ecgz_errors(ops, seed, record_property):
     blob, leads = _container()
-    rng = random.Random(17)
+    rng = random.Random(seed)
     refused = silent = 0
     for _ in range(CONTAINER_CASES):
-        data = _mutate_bytes(blob, rng)
+        data = _mutate_bytes(blob, rng, ops)
         try:
             meta, channels = ecgz.decompress(data)
         except EcgzError:
@@ -106,7 +114,8 @@ def test_mutated_containers_raise_only_ecgz_errors(record_property):
             silent += 1  # decoded without error to other samples: the container carries no checksum
     # Counted, not bounded: the version-1 container cannot tell these apart from a valid one.
     record_property("silent_wrong_decodes", silent)
-    assert refused > 0
+    # every duplicate is refused: it leaves bytes past the declared frames, or shifts the header's fields
+    assert refused == CONTAINER_CASES if ops != MUTATIONS else refused > 0
 
 
 def _leads(seed: int, n: int, spread: int = 15) -> list[np.ndarray]:
@@ -114,14 +123,19 @@ def _leads(seed: int, n: int, spread: int = 15) -> list[np.ndarray]:
     return [np.cumsum(rng.integers(-spread, spread + 1, size=n)).clip(-2048, 2047) for _ in range(2)]
 
 
-def test_mutated_wire_streams_raise_only_ecgz_errors(record_property):
+@pytest.mark.parametrize(
+    "ops, seed",
+    [(MUTATIONS, 19), (("duplicate",), 43), (("duplicate_units",), 47)],
+    ids=["mixed", "duplicate", "duplicate_units"],
+)
+def test_mutated_wire_streams_raise_only_ecgz_errors(ops, seed, record_property):
     leads = _leads(11, 3_000)
     cfg = ecgz.EncoderConfig(resync_interval_samples=360, channel_count=2)
     harness = bench.LossHarness(leads, cfg)
-    rng = random.Random(19)
+    rng = random.Random(seed)
     refused = silent = 0
     for _ in range(WIRE_CASES):
-        data = _mutate_bytes(harness.wire, rng)
+        data = _mutate_bytes(harness.wire, rng, ops)
         try:
             received = container.wire_decode(data, 2, harness.expected_frames)
             pairs = zip(received.channels, leads)
@@ -136,7 +150,9 @@ def test_mutated_wire_streams_raise_only_ecgz_errors(record_property):
             silent += 1  # no loss seen, other samples: a flipped word bit that still parses
     # Counted, not bounded: the wire carries no checksum either.
     record_property("silent_wrong_decodes", silent)
-    assert 0 < refused < WIRE_CASES
+    # every duplicate is refused: it leaves a partial unit, or repeats a sequence number, which reads
+    # as 63 lost units and so more frames than expected
+    assert refused == WIRE_CASES if ops != MUTATIONS else 0 < refused < WIRE_CASES
 
 
 def test_mutated_format212_signals_raise_only_ecgz_or_value_errors(tmp_path):
