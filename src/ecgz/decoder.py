@@ -9,10 +9,12 @@ of residual-coded samples the output is the L-fold running sum of the
 residuals plus the degree L - 1 polynomial through the L outputs before
 the run. Runs fewer than L raw samples apart chain, which makes the last
 L outputs of the runs an affine recurrence over runs; one doubling scan
-solves it for every run at once. With those in place, the L-th
-differences of the output at every raw sample and L cumulative sums
-rebuild the stream, in wrapping int16 arithmetic that is exact up to the
-first out-of-range sample (_decode says why).
+solves it for every run at once. The fields are the output's L-th
+differences but at raw samples, where the L-th difference is the field
+minus its prediction. So one running sum of the fields, shared with the
+scan, plus a step function of those corrections, then L - 1 more running
+sums rebuild the stream, in wrapping int16 arithmetic that is exact up
+to the first out-of-range sample (_decode says why).
 
 _decode states the one defect rule for both: the first defect in stream
 order raises, and a short stream raises only when no frame was erased.
@@ -95,9 +97,17 @@ def _field_table() -> np.ndarray:
     return table
 
 
+# The counts indexed by the top four bits clipped to -1..16, plus one; non-words count 0.
+_COUNT_BY_CLIPPED_TOP4 = np.concatenate([[0], _COUNT_BY_TOP4, [0]]).astype(np.int8)
+
+
 def _sample_counts(words: np.ndarray) -> np.ndarray:
-    """Samples carried by each word; 0 for the reserved header and non-words."""
-    return np.where((words >= 0) & (words <= 0xFFFF), _COUNT_BY_TOP4[(words >> 12) & 15], 0)
+    """Samples carried by each word of a signed integer array, as int8; 0 for the reserved header and non-words."""
+    top = words >> 12
+    np.maximum(top, -1, out=top)  # in place, and not np.clip, which costs more per call
+    np.minimum(top, 16, out=top)
+    top += 1
+    return _COUNT_BY_CLIPPED_TOP4.take(top)
 
 
 def _decode(
@@ -125,11 +135,13 @@ def _decode(
     it may wrap.
     """
     words = predictor.int_array(frames, *_INT64, _WORD_CHECK)  # the 16-bit range is checked in stream order
-    lost = np.zeros(words.size, dtype=bool) if lost is None else lost
     counts = _sample_counts(words)
-    counts[lost] = 0
+    defect = counts == 0
+    if lost is not None:
+        counts[lost] = 0
+        defect &= ~lost
     ends = np.cumsum(counts)
-    bad_word, surplus = _first((counts == 0) & ~lost), _first(ends > expected_count)
+    bad_word, surplus = _first(defect), _first(ends > expected_count)
     stop = min(bad_word, surplus)  # frames before the first defect decode normally
     L = len(predictor.coefficients(order))
     n = int(ends[stop - 1]) + L if stop else L
@@ -141,43 +153,56 @@ def _decode(
     at = np.repeat(6 * words[:stop] - (starts - L), counts)
     at += np.arange(n - L)
     buf[L:] = _field_table().ravel()[at]
+    del at
     is_raw = np.zeros(n + 1, dtype=bool)  # the L zeros count as raw; a stop mark past the end
     is_raw[:L] = is_raw[n] = True
     is_raw[starts[counts == 1]] = True  # Type E, the one single-sample frame
     edges = np.diff(is_raw.view(np.int8))
     firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
-    known = _known(is_raw[:n], firsts, lasts, starts[lost[:stop]], L)
+    known = _known(is_raw[:n], firsts, lasts, starts[:0] if lost is None else starts[lost[:stop]], L)
+    header = int(words[bad_word]) if bad_word < surplus else 0  # kept for parse_header's error below
+    # Free the word-sized arrays before the rebuild allocates its own: the
+    # smaller peak lets a call reuse the heap that the previous call freed.
+    del words, ends, starts, edges
 
     # Rebuild every maximal run of residual samples from the L outputs
-    # before it: the last L samples of all runs at once (_run_exits), then
-    # the L-th difference of the output at every raw position, beside the
-    # residuals, which are L-th differences already. L cumulative sums
-    # restore every sample, exact mod 2**16. Runs after an erasure come out
-    # as if nothing were lost, which is junk until L raw samples resync;
-    # no known sample depends on them.
+    # before it. The fields are L-th differences of the output, except that
+    # a raw sample's is its value minus its prediction from the L samples
+    # before it, which are raw or in the last run's exit window
+    # (_run_exits). The running sum of those corrections is a step
+    # function; added to the running sum of buf, which also feeds
+    # _run_exits, it leaves L - 1 running sums to restore every sample,
+    # exact mod 2**16. Runs after an erasure come out as if nothing were
+    # lost, which is junk until L raw samples resync; no known sample
+    # depends on them.
+    out = buf
     if firsts.size:
-        exits = (lasts[:, None] - L + 1 + np.arange(L)).ravel()
-        values = _run_exits(buf, firsts, lasts, L).ravel()
-        saved = buf[exits]
-        buf[exits] = values  # the L samples before a raw one are raw or in the last run's exit window
-        raw = np.flatnonzero(is_raw[L:n]) + L
-        delta = buf[raw]
-        for k, a in enumerate(predictor.coefficients(order), start=1):
-            delta -= a * buf[raw - k]
-        buf[exits] = saved
-        buf[raw] = delta
-        for _ in range(L):
-            np.cumsum(buf, out=buf, dtype=np.int16)
+        out = np.cumsum(buf, dtype=np.int16)
+        stops = np.flatnonzero(is_raw[L:])
+        stops += L  # the raw samples, then the stop mark n
+        if stops.size > 1:
+            raw = stops[:-1]
+            G = buf if L == 1 else out  # the (L-1)-fold running sum of buf
+            for k in range(L - 2):
+                G = np.cumsum(G, out=G if k else None, dtype=np.int16)
+            exits = (lasts[:, None] - L + 1 + np.arange(L)).ravel()
+            buf[exits] = _run_exits(buf, G, firsts, lasts, L).ravel()
+            step = np.zeros(raw.size, dtype=np.int16)
+            for k, a in enumerate(predictor.coefficients(order), start=1):
+                step -= a * buf[raw - k]
+            out[raw[0] :] += np.repeat(np.cumsum(step, dtype=np.int16), stops[1:] - raw)
+        for _ in range(L - 1):
+            np.cumsum(out, out=out, dtype=np.int16)
     lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
-    out, known = buf[L:], known[L:]
+    out, known = out[L:], known[L:]
     wrong = _first(known & ((out < lo) | (out > hi)))
     if wrong < out.size:
         raise CorruptStreamError(f"reconstructed sample {out[wrong]} outside the 12-bit range")
     if bad_word < surplus:
-        parse_header(int(words[bad_word]))  # raises for this word
+        parse_header(header)  # raises for the first word that is not a frame
     if surplus < bad_word:
         raise CorruptStreamError(f"frame stream carries more than the declared {expected_count} samples")
-    if out.size < expected_count and not lost.any():
+    if out.size < expected_count and (lost is None or not lost.any()):
         raise TruncationError(f"frame stream ended at {out.size} of {expected_count} samples")
     return out, known
 
@@ -210,16 +235,18 @@ def _known(is_raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.n
     return np.cumsum(marks[:n], dtype=np.int8).view(bool) | is_raw
 
 
-def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
+def _run_exits(buf: np.ndarray, G: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
     """The samples in each run's exit window, as an (R, L) int16 array exact mod 2**16.
 
     Run r holds residuals at firsts[r]..lasts[r]; its entry window is the
-    L samples before it, its exit window its last L samples. Let F be the
-    L-fold running sum of buf: on a run, x - F is the polynomial of
-    degree L - 1 through the entry window, so exit = F + M (entry - F)
-    for the run's Lagrange map M. An entry sample is raw, or it is in the
-    previous run's exit window when fewer than L raw samples separate
-    the runs. That makes the exits an affine recurrence over runs,
+    L samples before it, its exit window its last L samples. G is the
+    (L-1)-fold running sum of buf, folded by the caller from the running
+    sum its own rebuild starts from. Let F be the L-fold running sum of
+    buf: on a run, x - F is the polynomial of degree L - 1 through the
+    entry window, so exit = F + M (entry - F) for the run's Lagrange map
+    M. An entry sample is raw, or it is in the previous run's exit window
+    when fewer than L raw samples separate the runs. That makes the exits
+    an affine recurrence over runs,
     exit_r = P_r exit_(r-1) + q_r, solved by Hillis-Steele doubling over
     batched int16 matrix products (numpy's integer matmul wraps like the
     rest). P_r is 0 after a gap of L raw samples, and the scan stops once
@@ -230,11 +257,9 @@ def _run_exits(buf: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -
     R, win = firsts.size, np.arange(L)
     entry = firsts[:, None] - L + win
     # F at the window positions. The windows' first samples, entry then exit
-    # window of each run in turn, strictly increase: one reduceat over the
-    # (L-1)-fold running sum gives F just before each, a short cumsum the rest.
-    G, i16 = buf, np.int16
-    for k in range(L - 1):
-        G = np.cumsum(G, out=G if k else None, dtype=i16)
+    # window of each run in turn, strictly increase: one reduceat over G
+    # gives F just before each, a short cumsum the rest.
+    i16 = np.int16
     starts = np.stack([firsts - L, lasts - L + 1], axis=1).ravel()
     sums = [[G[: starts[0]].sum(dtype=i16)], np.add.reduceat(G[: starts[-1]], starts[:-1], dtype=i16)]
     before = np.cumsum(np.concatenate(sums), dtype=i16)

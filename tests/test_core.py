@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from ecgz import bench, container, decoder, encoder, predictor
 from ecgz.encoder import EncoderConfig
-from ecgz.errors import CorruptStreamError, EcgzError
+from ecgz.errors import CorruptStreamError, EcgzError, ReservedHeaderError, TruncationError
 from oracle import (
     ChannelEncoderScalar,
     decode_channel_scalar,
@@ -335,6 +335,77 @@ def test_first_bad_sample_is_reported_when_a_later_one_wraps_into_range():
     words += [encoder._PACKERS[2](residuals[:2]), encoder._PACKERS[6](residuals[2:])]
     for frames in (words, [None] + words):
         assert _same_error(frames, len(xs), order) == "reconstructed sample -30777 outside the 12-bit range"
+
+
+# The rebuild adds a step function to the running sums of the fields: at each
+# raw sample it steps by the correction from the residual-coded L-th difference
+# to the raw value. A stream with no raw sample after the L zeros of history
+# takes no step, one of raw samples only has no residual run to rebuild, and
+# raw runs at either end put a step on the first or the last sample.
+
+
+def _is_raw_word(word: int) -> bool:
+    return decoder.parse_header(word).tag == "E"
+
+
+def _rebuild_edges(order: int) -> dict[str, tuple[list[int], list[int]]]:
+    """(samples, words) of valid streams at each edge of the rebuild's step function."""
+    smooth = np.rint(300 * np.sin(np.arange(400) * (2 * np.pi / 200))).astype(np.int64)
+    jumps = np.array([1500, -1500] * 3)
+    raw_only = np.random.default_rng(order).integers(-2048, 2048, size=64)
+    edges = {"raw_runs_first_and_last": np.concatenate([jumps, smooth, jumps]), "one_sample": np.array([2047])}
+    cases = {name: (xs.tolist(), encoder.encode_channel(xs, _config(order, 0)).tolist()) for name, xs in edges.items()}
+    e = predictor.residuals(smooth, order).tolist()  # all within a B frame's 7-bit fields
+    cases["no_raw"] = (smooth.tolist(), [encoder._PACKERS[2](e[i : i + 2]) for i in range(0, len(e), 2)])
+    cases["raw_only"] = (raw_only.tolist(), [encoder._PACKERS[1]([x]) for x in raw_only.tolist()])
+    return cases
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_rebuild_edge_cases_match_the_scalar_oracle(order):
+    cases = _rebuild_edges(order)
+    tags = {name: [_is_raw_word(w) for w in words] for name, (_, words) in cases.items()}
+    assert not any(tags["no_raw"]) and all(tags["raw_only"]) and tags["one_sample"] == [True]
+    first_last = tags["raw_runs_first_and_last"]
+    assert first_last[0] and first_last[-1] and not all(first_last)
+    for name, (xs, words) in cases.items():
+        assert decoder.decode_channel(words, len(xs), order) == decode_channel_scalar(words, len(xs), order) == xs
+        # an erasure in the first frame, then one in the last
+        for frames in ([None] + words[1:], words[:-1] + [None]):
+            got = decoder.decode_resilient(frames, len(xs), order)
+            assert got == decode_resilient_scalar(frames, len(xs), order), name
+    # one sample more than the single raw frame carries, or a two-sample frame for one sample
+    assert _same_error([0x37FF], 2, order) == "frame stream ended at 1 of 2 samples"
+    surplus = encoder._PACKERS[2]([1, 1])
+    assert _same_error([surplus], 1, order) == "frame stream carries more than the declared 1 samples"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_list_int64_and_big_endian_uint16_words_decode_alike(order):
+    xs = _signal("walk", order, 500)
+    words = encoder.encode_channel(xs, _config(order, 13)).tolist()
+    rail = [0x37FF] * order + [encoder._PACKERS[2]([63, 0])]  # a raw rail, then a residual past it
+    streams = [
+        (words, len(xs)),
+        (words[:9] + [0x2ABC] + words[9:], len(xs)),  # a reserved header
+        (words, len(xs) - 1),  # a surplus
+        (words[:-1], len(xs)),  # truncated
+        (rail, order + 2),  # out of range
+    ]
+    kinds = set()
+    for stream, count in streams:
+        for lost in (None, np.arange(len(stream)) % 7 == 5):
+
+            def core(words, count, order):
+                out, known = decoder._decode(words, count, order, lost)
+                return out.dtype, out.tobytes(), known.tobytes()
+
+            inputs = (list(stream), np.array(stream, dtype=np.int64), np.array(stream, dtype=">u2"))
+            first, *rest = [_samples_or_error(core, words, count, order) for words in inputs]
+            assert all(got == first for got in rest)
+            kinds.add(first[0])
+    assert kinds == {np.dtype(np.int16), TruncationError, CorruptStreamError, ReservedHeaderError}
+    assert decoder._decode(np.array(words, dtype=">u2"), len(xs), order)[0].tolist() == xs
 
 
 # Streams for the run-boundary scan. Raw samples between residual runs come

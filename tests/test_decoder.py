@@ -55,6 +55,20 @@ def test_every_word_parses_by_its_header_bits_exhaustively():
             assert table[word].tolist() == fields + [0] * (6 - len(fields))
 
 
+def test_sample_counts_follow_parse_header_on_every_word_and_on_non_words():
+    # the core's clipped lookup: a frame's field count, and 0 wherever parse_header raises
+    def rule(word):
+        try:
+            return decoder.parse_header(word).field_count
+        except (ValueError, ReservedHeaderError):
+            return 0
+
+    words = [*range(1 << 16), -1, -4096, -4097, 0x10000, 2**40, -(2**63), 2**63 - 1]
+    counts = decoder._sample_counts(np.array(words, dtype=np.int64))
+    assert counts.tolist() == [rule(w) for w in words]
+    assert counts[-7:].tolist() == [0] * 7
+
+
 def test_parse_header_rejects_non_words():
     with pytest.raises(ValueError):
         decoder.parse_header(-1)
