@@ -339,6 +339,7 @@ class LossReport:
     corrupted_samples: int
     total_samples: int
     known_samples_exact: bool
+    unresynced_samples: int  # unknown after the first resync received in full past a loss (LossHarness.run)
     span_bound: int | None = None
 
     @property
@@ -415,7 +416,9 @@ class LossHarness:
         positions. A sample counts as corrupted when its frame was
         dropped or the decoder returned None for it; every other sample
         must match the input exactly, which the report records in
-        known_samples_exact.
+        known_samples_exact. From the first resync received in full
+        after a loss up to the next loss, every sample must be known;
+        unresynced_samples counts those that are not (_unresynced).
         """
         if drops is None:
             rng = random.Random(seed)
@@ -426,7 +429,7 @@ class LossHarness:
         received, _ = container._wire_arrays(kept, len(self.channels), self.expected_frames)
 
         all_spans: list[list[tuple[int, int]]] = []
-        corrupted_total = 0
+        corrupted_total = unresynced = 0
         exact = True
         for ch, samples in enumerate(self.channels):
             words, lost = received[ch]
@@ -440,6 +443,7 @@ class LossHarness:
             spans = decoder._runs(corrupted)
             all_spans.append(spans)
             corrupted_total += int(np.count_nonzero(corrupted))
+            unresynced += _unresynced(corrupted, self._counts[ch], lost, self.config.resync_interval_samples)
         return LossReport(
             seed=seed,
             pattern=pattern,
@@ -450,6 +454,7 @@ class LossHarness:
             corrupted_samples=corrupted_total,
             total_samples=sum(len(c) for c in self.channels),
             known_samples_exact=exact,
+            unresynced_samples=unresynced,
             span_bound=span_bound,
         )
 
@@ -457,6 +462,26 @@ class LossHarness:
 def _drop_units(wire: bytes, drops: set[int]) -> bytes:
     units = np.frombuffer(wire, dtype=np.uint8).reshape(-1, 3)
     return np.delete(units, list(drops), axis=0).tobytes()
+
+
+def _unresynced(corrupted: np.ndarray, counts: np.ndarray, lost: np.ndarray, interval: int) -> int:
+    """Samples still corrupted after the first resync that follows each lost frame in full.
+
+    For a lost frame that ends before sample e, that is the first resync
+    point s = k * interval with s - 5 >= e and s + 7 <= n: its forced raw
+    frames start at s - 5 or later, after the loss, and both go out
+    before the final flush. From s + RESYNC_RAW_SAMPLES up to the next
+    lost frame, every sample must be known.
+    """
+    if not interval or not lost.any():
+        return 0
+    ends = np.cumsum(counts, dtype=np.int64)
+    n, e = int(ends[-1]), ends[lost]
+    s = -(-(e + 5) // interval) * interval
+    lo, hi = s + encoder.RESYNC_RAW_SAMPLES, np.append((ends - counts)[lost][1:], n)
+    checked = (s + 7 <= n) & (lo < hi)
+    bad = np.concatenate([[0], np.cumsum(corrupted)])
+    return int((bad[hi[checked]] - bad[lo[checked]]).sum())
 
 
 def _audit_channel(

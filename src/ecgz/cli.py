@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,17 @@ format 212) and point --data or ECGZ_MITDB_DIR at the directory.
 CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write by decompress; its cell table, mask and compress index grow with it
 
 
+def _rate(text: str) -> float:
+    """A --rate value in Hz: a finite, positive number, else a usage error (exit 2)."""
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = math.nan
+    if not 0 < rate < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"sample rate must be a finite, positive number, got {text!r}")
+    return rate
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ecgz", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -51,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", type=Path)
     sp.add_argument("output", type=Path)
     add_input_flags(sp)
-    sp.add_argument("--rate", type=float, default=512.0, help="sample rate in Hz for CSV input")
+    sp.add_argument("--rate", type=_rate, default=512.0, help="sample rate in Hz for CSV input")
     add_codec_flags(sp)
     sp.add_argument("--orig-bits", type=int, default=12, help="raw bits per sample for the ratio summary")
     sp.set_defaults(func=cmd_compress)
@@ -90,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--unit-index", type=int, default=None, help="fix the dropped unit instead of a seeded choice")
     sp.add_argument("--runs", type=int, default=1, help="number of seeded simulations")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rate", type=float, default=360.0, help="sample rate for synthetic input")
+    sp.add_argument("--rate", type=_rate, default=360.0, help="sample rate for synthetic and CSV input")
     sp.add_argument("--duration", type=float, default=30.0, help="synthetic input length in seconds")
     add_codec_flags(sp)
     sp.add_argument("--out", type=Path, default=None, help="write a CSV of per-run results")
@@ -270,7 +282,7 @@ def cmd_simulate_loss(args) -> int:
         report = harness.run(pattern, seed=args.seed + run, span_bound=bound)
         worst = max(worst, report.max_span)
         rows.append(report)
-        status = "ok" if report.known_samples_exact and report.bound_ok else "FAIL"
+        status = "ok" if _loss_ok(report) else "FAIL"
         print(
             f"seed {report.seed}: dropped {len(report.dropped_units)} unit(s), "
             f"corrupted {report.corrupted_samples}/{report.total_samples} samples "
@@ -279,15 +291,20 @@ def cmd_simulate_loss(args) -> int:
     if args.runs > 1:
         print(f"worst span over {args.runs} runs: {worst}" + (f" (bound {bound})" if bound else ""))
     if args.out:
-        head = ["seed", "dropped_units", "corrupted", "total", "max_span", "exact"]
+        head = ["seed", "dropped_units", "corrupted", "total", "max_span", "exact", "unresynced"]
         cells = (
-            [r.seed, len(r.dropped_units), r.corrupted_samples, r.total_samples, r.max_span, r.known_samples_exact]
+            [r.seed, len(r.dropped_units), r.corrupted_samples, r.total_samples, r.max_span]
+            + [r.known_samples_exact, r.unresynced_samples]
             for r in rows
         )
         bench._write_csv(args.out, head, cells)
         print(f"wrote {args.out}")
-    ok = all(r.known_samples_exact and r.bound_ok for r in rows)
-    return 0 if ok else 1
+    return 0 if all(map(_loss_ok, rows)) else 1
+
+
+def _loss_ok(report: bench.LossReport) -> bool:
+    """Every known sample exact, spans within the bound, and every sample known after a full resync."""
+    return report.known_samples_exact and report.bound_ok and not report.unresynced_samples
 
 
 def main(argv=None) -> int:

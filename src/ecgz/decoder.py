@@ -6,15 +6,17 @@ field of every frame at once. Type E fields are raw samples, the other
 fields residuals, and the history starts as L zeros, exactly as in the
 encoder. An order-L slope predictor is an L-th difference, so on a run
 of residual-coded samples the output is the L-fold running sum of the
-residuals plus the degree L - 1 polynomial through the L outputs before
-the run. Runs fewer than L raw samples apart chain, which makes the last
-L outputs of the runs an affine recurrence over runs; one doubling scan
-solves it for every run at once. The fields are the output's L-th
-differences but at raw samples, where the L-th difference is the field
-minus its prediction. So one running sum of the fields, shared with the
-scan, plus a step function of those corrections, then L - 1 more running
-sums rebuild the stream, in wrapping int16 arithmetic that is exact up
-to the first out-of-range sample (_decode says why).
+residuals plus a sequence that the predictor continues exactly from the
+L outputs before the run: a power of the predictor's companion matrix
+takes those L to the run's last L. Runs fewer than L raw samples apart
+chain, which makes the last L outputs of the runs an affine recurrence
+over runs; one doubling scan solves it for every run at once. The fields
+are the output's L-th differences but at raw samples, where the L-th
+difference is the field minus its prediction. So one running sum of the
+fields, shared with the scan, plus a step function of those corrections,
+then L - 1 more running sums rebuild the stream, in wrapping int16
+arithmetic that is exact up to the first out-of-range sample (_decode
+says why).
 
 _decode states the one defect rule for both: the first defect in stream
 order raises, and a short stream raises only when no frame was erased.
@@ -242,9 +244,9 @@ def _run_exits(buf: np.ndarray, G: np.ndarray, firsts: np.ndarray, lasts: np.nda
     L samples before it, its exit window its last L samples. G is the
     (L-1)-fold running sum of buf, folded by the caller from the running
     sum its own rebuild starts from. Let F be the L-fold running sum of
-    buf: on a run, x - F is the polynomial of degree L - 1 through the
-    entry window, so exit = F + M (entry - F) for the run's Lagrange map
-    M. An entry sample is raw, or it is in the previous run's exit window
+    buf: on a run, the predictor is exact on x - F, so exit = F + M (entry
+    - F) for M = C**length, C the order-L companion matrix (_run_maps).
+    An entry sample is raw, or it is in the previous run's exit window
     when fewer than L raw samples separate the runs. That makes the exits
     an affine recurrence over runs,
     exit_r = P_r exit_(r-1) + q_r, solved by Hillis-Steele doubling over
@@ -264,7 +266,7 @@ def _run_exits(buf: np.ndarray, G: np.ndarray, firsts: np.ndarray, lasts: np.nda
     sums = [[G[: starts[0]].sum(dtype=i16)], np.add.reduceat(G[: starts[-1]], starts[:-1], dtype=i16)]
     before = np.cumsum(np.concatenate(sums), dtype=i16)
     F = (before[:, None] + np.cumsum(G[starts[:, None] + win], axis=1, dtype=i16)).reshape(R, 2, L)
-    M = _lagrange_maps(lasts - firsts + 1, L)
+    M = _run_maps(lasts - firsts + 1, L)
     gaps = firsts - np.concatenate([[-L - 1], lasts[:-1]]) - 1  # raw samples before each run
     # entry sample l is exit sample l + gap of the run before when l + gap < L, else raw
     shift = win == win[:, None] + gaps[:, None, None]
@@ -283,41 +285,34 @@ def _run_exits(buf: np.ndarray, G: np.ndarray, firsts: np.ndarray, lasts: np.nda
     return T[:, :L, L]
 
 
-def _lagrange_maps(lengths: np.ndarray, L: int) -> np.ndarray:
-    """(R, L, L) int16 maps from the entry to the exit window of runs of these lengths, mod 2**16.
+@functools.cache
+def _powers(L: int) -> np.ndarray:
+    """C**(j * 256**k) for j < 256 and k < 8, as an (8, 256, L, L) int16 table exact mod 2**16.
 
-    Exit sample j lies u = length + j past the entry window's start. Where
-    u < L it is entry sample u; otherwise row j holds the Lagrange weights
-    beta_l(u - L) = (-1)**(L-1-l) C(u, l) C(u-l-1, L-1-l) of the degree
-    L - 1 polynomial through the entry window. The weights are products
-    in int64, exact mod 2**64, stored mod 2**16: the halving in _binomial
-    needs the bits above 16 of v.
+    C, the order-L companion matrix, steps a window of L samples one
+    sample on by the predictor: its rows are the identity shifted up one,
+    then the coefficients reversed. Built on first use, once per order.
     """
-    u = lengths[:, None] + np.arange(L)
-    v = np.maximum(u, L)
-    M = np.empty(u.shape + (L,), dtype=np.int16)
-    for l in range(L):
-        M[:, :, l] = (-1) ** (L - 1 - l) * _binomial(v, l) * _binomial(v - l - 1, L - 1 - l)
-    short = u < L
-    M[short] = u[short][:, None] == np.arange(L)
+    C = np.eye(L, k=1, dtype=np.int16)
+    C[-1] = predictor.coefficients(L)[::-1]
+    table = np.empty((8, 256, L, L), dtype=np.int16)
+    for k in range(8):
+        table[k, 0] = np.eye(L, dtype=np.int16)
+        for m in 1, 2, 4, 8, 16, 32, 64, 128:  # C is C**(m * 256**k) here
+            table[k, m : 2 * m] = table[k, :m] @ C
+            C = C @ C
+    table.flags.writeable = False  # one table per order, shared by every call
+    return table
+
+
+def _run_maps(lengths: np.ndarray, L: int) -> np.ndarray:
+    """C**length for each run length, as an (R, L, L) int16 array exact mod 2**16: one product per base-256 digit."""
+    table = _powers(L)
+    M, rest, k = table[0, lengths & 255], lengths >> 8, 1
+    while rest.any():
+        M = M @ table[k, rest & 255]
+        rest, k = rest >> 8, k + 1
     return M
-
-
-_INV3 = -0x5555555555555555  # 3 * _INV3 == 1 mod 2**64
-
-
-def _binomial(v: np.ndarray, k: int) -> np.ndarray:
-    """C(v, k) mod 2**64 for k <= 3 and v >= k, as wrapping int64.
-
-    The factor 2 of k! is divided out of an even term before the terms
-    are multiplied, so the wrap loses nothing; the odd factor 3 is divided
-    out after, as a product with its inverse mod 2**64.
-    """
-    if k < 2:
-        return v if k else np.ones_like(v)
-    odd = v & 1
-    c = ((v - odd) >> 1) * (v - 1 + odd)  # the even one of v, v - 1 halved, times the other
-    return c if k == 2 else c * (v - 2) * _INV3
 
 
 def _first(mask: np.ndarray) -> int:

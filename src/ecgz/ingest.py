@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -74,6 +75,8 @@ def parse_wfdb_header(text: str) -> WfdbRecord:
         raise WfdbParseError(f"line {lineno}: {exc}") from None
     if nsig < 1:
         raise WfdbParseError(f"line {lineno}: signal count must be positive")
+    if not 0 < freq < math.inf:  # false for nan too
+        raise WfdbParseError(f"line {lineno}: sampling frequency must be finite and positive, got {tok[2]!r}")
     if nsamp < 0:
         raise WfdbParseError(f"line {lineno}: negative sample count")
 

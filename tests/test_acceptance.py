@@ -194,7 +194,7 @@ def test_single_frame_loss_recovery_bound():
     bound = 1440 + 6
     harness = bench.LossHarness([signal], cfg)
     reports = [harness.run(bench.LossPattern("single"), seed=s, span_bound=bound) for s in range(1000)]
-    bad = [r.seed for r in reports if not (r.known_samples_exact and r.bound_ok)]
+    bad = [r.seed for r in reports if not (r.known_samples_exact and r.bound_ok) or r.unresynced_samples]
     assert bad == [], f"failing seeds: {bad[:10]}"
     worst = max(r.max_span for r in reports)
     assert worst <= bound

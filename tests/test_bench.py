@@ -228,7 +228,7 @@ def test_burst_loss_spans_stay_contained():
     pattern = bench.LossPattern("burst", burst_length=3)
     report = bench.LossHarness([synthetic_channel()], cfg).run(pattern, seed=2)
     assert len(report.dropped_units) == 3
-    assert report.known_samples_exact
+    assert report.known_samples_exact and report.unresynced_samples == 0
     # a short burst still resolves by the second resync pair at the latest
     assert report.max_span <= 2 * 720 + 12
 
@@ -253,11 +253,11 @@ def test_loss_sweep_shares_the_encode():
 
 
 def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
-    """(spans, corrupted count, exact) from the per-frame audit."""
+    """(spans, corrupted count, exact, unresynced count) from the per-frame audit."""
     received = container.wire_decode(
         bench._drop_units(harness.wire, drops), len(harness.channels), harness.expected_frames
     ).channels
-    spans, exact = [], True
+    spans, exact, unresynced = [], True, 0
     for ch, truth in enumerate(harness.channels):
         out, _ = decoder.decode_resilient(received[ch], len(truth), harness.config.order)
         counts = [frame_sample_count(w) for w in harness.channel_frames[ch]]
@@ -266,8 +266,24 @@ def _report_by_frame_walk(harness: bench.LossHarness, drops: set[int]):
             exact = False
             corrupted = [True] * len(truth)
         spans.append(bool_runs_scalar(corrupted))
+        unresynced += _unresynced_by_frame_walk(corrupted, counts, received[ch], harness.config.resync_interval_samples)
     corrupted_total = sum(stop - start for runs in spans for start, stop in runs)
-    return spans, corrupted_total, exact
+    return spans, corrupted_total, exact, unresynced
+
+
+def _unresynced_by_frame_walk(corrupted: list[bool], counts: list[int], frames: list, interval: int) -> int:
+    """Corrupted samples from the first resync received in full after each lost frame up to the next one."""
+    n, total, end, resync_end = len(corrupted), 0, 0, None
+    for count, word in zip(counts, frames):
+        if word is None:
+            if resync_end is not None:
+                total += sum(corrupted[resync_end:end])
+            s = interval
+            while s and s - 5 < end + count:  # the forced raw frames start after this frame
+                s += interval
+            resync_end = s + encoder.RESYNC_RAW_SAMPLES if s and s + 7 <= n else None
+        end += count
+    return total + (sum(corrupted[resync_end:]) if resync_end is not None else 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,7 +312,7 @@ def test_loss_audit_matches_the_frame_walk(nch, n, interval, mode, tamper, seed)
     with mock.patch.object(decoder, "_decode", wrong_known_sample if tamper else erasures):
         report = harness.run(pattern, seed=seed)
         expected = _report_by_frame_walk(harness, set(report.dropped_units))
-    got = (report.spans, report.corrupted_samples, report.known_samples_exact)
+    got = (report.spans, report.corrupted_samples, report.known_samples_exact, report.unresynced_samples)
     assert got == expected
     assert all(type(v) is int for runs in report.spans for span in runs for v in span)
     assert type(report.corrupted_samples) is int and type(report.known_samples_exact) is bool

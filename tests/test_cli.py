@@ -1,5 +1,6 @@
 """Command line behavior, driven through main() with temp files."""
 
+import csv
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -119,6 +120,23 @@ def test_bad_csv_exits_two(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["inf", "nan", "0", "-360"])
+def test_a_rate_that_is_not_finite_and_positive_exits_two(tmp_path, capsys, rate):
+    # exit 2 and no traceback: rounding the resync spacing at an inf rate raises OverflowError
+    write_record(tmp_path, "r", [[0] * 10], rate=rate)
+    assert cli.main(["compress", str(tmp_path / "r"), str(tmp_path / "r.ecgz")]) == 2
+    assert capsys.readouterr().err == f"error: line 1: sampling frequency must be finite and positive, got {rate!r}\n"
+    src = tmp_path / "rec.csv"
+    src.write_text("1\n2\n3\n")
+    for argv in (["compress", str(src), str(tmp_path / "x.ecgz")], ["simulate-loss", str(src)]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, "--rate", rate])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --rate: sample rate must be a finite, positive number, got {rate!r}\n")
+    assert not (tmp_path / "r.ecgz").exists() and not (tmp_path / "x.ecgz").exists()
+
+
 def test_wfdb_record_compresses_by_prefix(tmp_path, capsys):
     rng = np.random.default_rng(5)
     chans = [np.cumsum(rng.integers(-3, 4, size=300)).clip(-900, 900).tolist()]
@@ -198,18 +216,32 @@ def test_simulate_loss_none_mode_is_lossless(capsys):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_simulate_loss_verdict_counts_the_total_after_one_lost_unit(order, capsys):
+def test_simulate_loss_verdict_counts_the_total_after_one_lost_unit(order, capsys, tmp_path):
     # at order 3 two raw samples per resync cannot restart the predictor: seed 1 loses 30,540
     # of 36,000 samples in spans that each stay within the bound, so only the total shows it
-    argv = ["simulate-loss", "--order", str(order), "--loss-mode", "single", "--runs", "5", "--duration", "100"]
-    code = cli.main(argv)
-    lines = capsys.readouterr().out.splitlines()
-    if order == 3:
-        assert code == 1
-        assert lines[1].startswith("seed 1: dropped 1 unit(s), corrupted 30540/36000 samples")
-        assert lines[1].endswith("FAIL")
-    else:
-        assert code == 0 and not any(line.endswith("FAIL") for line in lines)
+    # after one lost unit, and in every mode the samples left unknown after a full resync
+    modes = {
+        "single": ["--runs", "5"],
+        "burst": ["--burst-length", "2", "--runs", "3"],
+        "random": ["--loss-prob", "0.0005", "--runs", "3"],
+    }
+    for mode, flags in modes.items():
+        out = tmp_path / f"{mode}.csv"
+        argv = ["simulate-loss", "--order", str(order), "--loss-mode", mode, *flags, "--duration", "100"]
+        code = cli.main([*argv, "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        unresynced = [int(row["unresynced"]) for row in csv.DictReader(out.read_text().splitlines())]
+        if order == 3:
+            assert code == 1 and any(unresynced), mode
+            if mode != "random":
+                dropped = {"single": 1, "burst": 2}[mode]
+                assert lines[1].startswith(f"seed 1: dropped {dropped} unit(s), corrupted 30540/36000 samples")
+                assert lines[1].endswith("FAIL")
+            else:  # each seed loses 73-97% of the lead
+                assert all(line.endswith("FAIL") for line in lines[:3]) and all(unresynced)
+        else:
+            assert code == 0 and not any(line.endswith("FAIL") for line in lines), mode
+            assert unresynced == [0] * len(unresynced)
 
 
 def test_simulate_loss_detects_csv_case_insensitively(tmp_path, capsys):

@@ -28,6 +28,7 @@ from oracle import (
     decode_resilient_scalar,
     frame_counts_priority,
     frame_starts_scalar,
+    predict,
 )
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
@@ -521,8 +522,43 @@ def test_first_bad_sample_in_a_chained_run_matches_the_oracle(order, kind):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_run_maps_step_the_predictor_exactly(order):
+    # column l of C**length is the exit window that the scalar predictor reaches from unit window l
+    lengths = np.arange(1, 601)
+    maps = decoder._run_maps(lengths, order).astype(np.int64) % (1 << 16)
+    for l in range(order):
+        xs = [int(i == l) for i in range(order)]
+        for length in lengths.tolist():
+            xs.append(predict(xs[: -order - 1 : -1], order) % (1 << 16))
+            assert maps[length - 1, :, l].tolist() == xs[-order:], (length, l)
+
+
+def _matrix_power_mod16(C: list[list[int]], e: int) -> list[list[int]]:
+    """C**e mod 2**16 by square-and-multiply over Python ints."""
+    L = len(C)
+
+    def mul(A, B):
+        return [[sum(A[i][t] * B[t][j] for t in range(L)) % (1 << 16) for j in range(L)] for i in range(L)]
+
+    out = [[int(i == j) for j in range(L)] for i in range(L)]
+    while e:
+        out, C, e = (mul(out, C) if e & 1 else out), mul(C, C), e >> 1
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_run_maps_are_exact_at_the_base_256_digit_boundaries(order):
+    C = [[int(j == i + 1) for j in range(order)] for i in range(order - 1)]
+    C.append(list(predictor.coefficients(order)[::-1]))
+    lengths = [255, 256, 65_535, 65_536, (1 << 24) - 1, (1 << 24) + 1, (1 << 32) - 1, (1 << 32) + 1, 1 << 40, (1 << 63) - 1]
+    maps = decoder._run_maps(np.array(lengths, dtype=np.int64), order).astype(np.int64) % (1 << 16)
+    for length, M in zip(lengths, maps.tolist()):
+        assert M == _matrix_power_mod16(C, length), length
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_a_run_past_2_to_the_21_round_trips(order):
-    # C(u, 3) for u past 2**21 overflows int64 unless 2 and 3 come out first.
+    # A length past 2**21 has three base-256 digits, so its run map is a product of three table entries.
     # Escapes before the long run give it an entry window that is not all zeros.
     n_long = (1 << 21) + 5_000
     wave = np.rint(1500 * np.sin(np.arange(n_long) * (2 * np.pi / (1 << 17)))).astype(np.int64)

@@ -72,6 +72,9 @@ def test_parse_header_rejects_garbage():
         ingest.parse_wfdb_header("r 2 250 10\nr.dat 212\n")
     with pytest.raises(WfdbParseError, match="line 2"):
         ingest.parse_wfdb_header("r 1 250 10\nr.dat 212 abc\n")
+    for freq in ("inf", "-inf", "nan", "1e999", "0", "0/360", "-360"):
+        with pytest.raises(WfdbParseError, match=f"^line 1: sampling frequency must be finite and positive, got '{freq}'$"):
+            ingest.parse_wfdb_header(f"r 1 {freq} 10\nr.dat 212\n")
 
 
 def test_parse_header_rejects_other_formats():

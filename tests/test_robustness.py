@@ -9,6 +9,7 @@ value outside the 12-bit range or a malformed cell. Any other exception
 that raised it.
 """
 
+import math
 import random
 
 import numpy as np
@@ -55,15 +56,19 @@ def _mutate_text(text: str, rng: random.Random, alphabet: str = HEADER_ALPHABET)
 def test_mutated_wfdb_headers_raise_only_ecgz_errors():
     rng = random.Random(13)
     refused = 0
-    for _ in range(HEADER_CASES):
-        text = _mutate_text(HEADER, rng)
+    # frequencies that parsed and then failed in the CLI, with an OverflowError for inf
+    fixed = [HEADER.replace(" 360 ", f" {freq} ", 1) for freq in ("inf", "nan", "1e999", "0", "-360")]
+    for i in range(len(fixed) + HEADER_CASES):
+        text = fixed[i] if i < len(fixed) else _mutate_text(HEADER, rng)
         try:
-            ingest.parse_wfdb_header(text)
+            rate = ingest.parse_wfdb_header(text).sampling_frequency
         except EcgzError:
             refused += 1
         except Exception as exc:
             raise AssertionError(f"{type(exc).__name__} escaped for header {text!r}") from exc
-    assert 0 < refused < HEADER_CASES  # the mutations reach both outcomes
+        else:
+            assert 0 < rate < math.inf, f"frequency {rate} accepted from header {text!r}"
+    assert len(fixed) < refused < len(fixed) + HEADER_CASES  # the mutations reach both outcomes
 
 
 def _container() -> tuple[bytes, list[np.ndarray]]:
