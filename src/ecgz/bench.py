@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import baselines, compress, container, decoder, encoder, ingest, predictor
+from . import baselines, container, decoder, encoder, ingest, predictor
 from .errors import WfdbParseError
 
 DEFAULT_M_VALUES = (8, 16, 32, 64)
@@ -172,15 +172,15 @@ def evaluate_channels(
     orig_bits: int = ORIG_BITS_DEFAULT,
     m_values: Sequence[int] = DEFAULT_M_VALUES,
 ) -> list[ChannelRow]:
-    """Score one record's channels, charging each for the frames its container holds."""
-    _, channel_words = container.read_ecgz(compress(channels, 0, config))
+    """Score one record's channels, charging each for the frames the encoder emits, counted without packing them."""
+    encoder._check_leads(channels, config)
     escape_bits = predictor.residual_bits(config.order)  # the selective estimator's raw residual
     half = 1 << (escape_bits - 1)  # every residual is at least -half: the histogram counts from there
     rows = []
-    for ch, (samples, words) in enumerate(zip(channels, channel_words)):
-        bits = 16 * words.size
-        raw = len(samples) * orig_bits
-        counts = np.bincount(np.add(predictor.residuals(samples, config.order), half, dtype=np.intp))
+    for ch, samples in enumerate(channels):
+        _, err, starts = encoder._frame_starts(samples, config)  # the frame walk, and its residuals for the histogram
+        raw, bits = len(samples) * orig_bits, 16 * starts.size
+        counts = np.bincount(np.add(err, half, dtype=np.intp))
         symbols = np.flatnonzero(counts)  # the residuals that occur, ascending, offset by half
         hist = dict(zip((symbols - half).tolist(), counts[symbols].tolist()))
         ideal = baselines.ideal_huffman_bits_from_hist(hist)
@@ -190,7 +190,7 @@ def evaluate_channels(
                 record=record_name,
                 channel=ch,
                 n_samples=len(samples),
-                frame_count=words.size,
+                frame_count=starts.size,
                 compressed_bits=bits,
                 bcr=raw / bits,
                 ideal_bits=ideal,

@@ -46,6 +46,7 @@ def _rate(text: str) -> float:
     return rate
 
 
+@functools.cache  # built on first use; main dispatches by name, so a cmd_* patched later still runs
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ecgz", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -66,18 +67,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=_rate, default=512.0, help="sample rate in Hz for CSV input")
     add_codec_flags(sp)
     sp.add_argument("--orig-bits", type=int, default=12, help="raw bits per sample for the ratio summary")
-    sp.set_defaults(func=cmd_compress)
 
     sp = sub.add_parser("decompress", help="expand a .ecgz container to CSV")
     sp.add_argument("input", type=Path)
     sp.add_argument("output", type=Path)
-    sp.set_defaults(func=cmd_decompress)
 
     sp = sub.add_parser("verify", help="check a .ecgz container against its source recording")
     sp.add_argument("original", type=Path)
     sp.add_argument("compressed", type=Path)
     add_input_flags(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("bench", help="compression-ratio table over a record directory")
     sp.add_argument("--data", type=Path, default=Path("data/mitdb"), help="directory of .hea/.dat records")
@@ -86,13 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", default="8,16,32,64", help="comma-separated codebook sizes for the selective estimator")
     add_codec_flags(sp)
     sp.add_argument("--out-dir", type=Path, default=None, help="also write CSV reports here")
-    sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("predict-eval", help="prediction-error table per predictor order")
     sp.add_argument("--data", type=Path, default=Path("data/mitdb"))
     sp.add_argument("--records", default=None)
     sp.add_argument("--out-dir", type=Path, default=None)
-    sp.set_defaults(func=cmd_predict_eval)
 
     sp = sub.add_parser("simulate-loss", help="drop wire units and audit the recovery")
     sp.add_argument("record", nargs="?", default="synthetic", help="record prefix, CSV file, or 'synthetic'")
@@ -106,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--duration", type=float, default=30.0, help="synthetic input length in seconds")
     add_codec_flags(sp)
     sp.add_argument("--out", type=Path, default=None, help="write a CSV of per-run results")
-    sp.set_defaults(func=cmd_simulate_loss)
     return p
 
 
@@ -136,7 +131,9 @@ def _load_input(path: Path, fmt: str, channels_flag, rate: float):
 def cmd_compress(args) -> int:
     fmt = _detect_format(args.input, args.format)
     channels, rate = _load_input(args.input, fmt, args.channels, args.rate)
-    blob = compress(channels, int(round(rate)), _codec_config(args, rate, len(channels)))
+    if not 1 <= round(rate) <= 0xFFFF:  # the header's 16-bit field; a rate of 0 would also zero --resync-seconds
+        raise ValueError(f"sample rate {rate:g} Hz rounds to {round(rate)} Hz; the container holds 1..65535 Hz")
+    blob = compress(channels, round(rate), _codec_config(args, rate, len(channels)))
     args.output.write_bytes(blob)
     n = sum(len(c) for c in channels)
     frames = sum(w.size for w in container.read_ecgz(blob)[1])
@@ -308,10 +305,9 @@ def _loss_ok(report: bench.LossReport) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2

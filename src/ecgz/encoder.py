@@ -239,17 +239,18 @@ class ChannelEncoder:
 
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> np.ndarray:
-    """Encode one whole channel into int64 frame words; equals push_sample over samples then flush.
+    """Encode one whole channel into int64 frame words; equals push_sample over samples then flush."""
+    return _pack(*_frame_starts(samples, config or EncoderConfig()))
 
-    Residuals give width classes, the width classes the greedy frame size
-    at every position (_frame_counts), and the step table with its
-    pointer doubling every frame start (_frame_walk); _pack packs each
-    type in one numpy pass.
+
+def _frame_starts(samples: Sequence[int], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples and residuals as int16, and the first sample of every frame encode_channel emits.
+
+    The residuals' width classes give the greedy frame size at every
+    position (_frame_counts), and those sizes the frame starts (_frame_walk).
     """
-    cfg = config or EncoderConfig()
-    x, err = predictor.narrow_residuals(samples, cfg.order)  # validates sample range
-    starts = _frame_walk(_frame_counts(width_classes(err)), cfg.resync_interval_samples, RESYNC_RAW_SAMPLES)
-    return _pack(x, err, starts)
+    x, err = predictor.narrow_residuals(samples, config.order)  # validates sample range
+    return x, err, _frame_walk(_frame_counts(width_classes(err)), config.resync_interval_samples, RESYNC_RAW_SAMPLES)
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
@@ -380,9 +381,12 @@ def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def encode_channels(channels: Sequence[Sequence[int]], config: EncoderConfig | None = None) -> list[np.ndarray]:
     """Encode simultaneously sampled, equal-length leads: per lead, its int64 frame words."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
-    nch = len(channels)
-    if nch != cfg.channel_count:
-        raise ValueError(f"got {nch} channels but config says {cfg.channel_count}")
+    _check_leads(channels, cfg)
+    return [encode_channel(samples, cfg) for samples in channels]
+
+
+def _check_leads(channels: Sequence[Sequence[int]], config: EncoderConfig) -> None:
+    if len(channels) != config.channel_count:
+        raise ValueError(f"got {len(channels)} channels but config says {config.channel_count}")
     if len({len(c) for c in channels}) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
-    return [encode_channel(samples, cfg) for samples in channels]

@@ -240,8 +240,9 @@ def test_serialized_size_is_sixteen_bits_per_frame():
         blob = container.write_ecgz(meta, frames)
         header = 13 + 8 * nch
         assert 8 * (len(blob) - header) == 16 * sum(len(f) for f in frames)
-    # the bench path re-checks the same identity on every evaluation
-    bench.evaluate_channels("probe", [[0] * 100], EncoderConfig())
+    # the bench path charges 16 bits for each frame the encoder emits, counted from its frame walk
+    (row,) = bench.evaluate_channels("probe", [[0] * 100], EncoderConfig())
+    assert row.compressed_bits == 16 * encoder.encode_channel([0] * 100).size
     _note("compressed payload is 16 bits per frame across 200 random encodes")
 
 

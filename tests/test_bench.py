@@ -81,6 +81,88 @@ def test_selective_escapes_cost_the_residual_width_of_the_order(order):
         assert row.selective_bits[4] == selective_huffman_bits(errors, 4)
 
 
+def rows_by_packing(name, channels, config, orig_bits=12, m_values=bench.DEFAULT_M_VALUES):
+    """evaluate_channels by the packing path: every lead's words encoded, then a second residual pass."""
+    if len(channels) != config.channel_count:
+        raise ValueError(f"got {len(channels)} channels but config says {config.channel_count}")
+    if len({len(c) for c in channels}) > 1:
+        raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
+    frame_counts = [encoder.encode_channel(samples, config).size for samples in channels]
+    escape_bits = predictor.residual_bits(config.order)
+    rows = []
+    for ch, (samples, frames) in enumerate(zip(channels, frame_counts)):
+        symbols, counts = np.unique(predictor.residuals(samples, config.order), return_counts=True)
+        hist = dict(zip(symbols.tolist(), counts.tolist()))
+        ideal = bench.baselines.ideal_huffman_bits_from_hist(hist)
+        sel = {m: bench.baselines.selective_huffman_bits_from_hist(hist, m, escape_bits) for m in m_values}
+        raw, bits = len(samples) * orig_bits, 16 * frames
+        rows.append(
+            bench.ChannelRow(
+                record=name,
+                channel=ch,
+                n_samples=len(samples),
+                frame_count=frames,
+                compressed_bits=bits,
+                bcr=raw / bits,
+                ideal_bits=ideal,
+                ideal_bcr=raw / ideal,
+                selective_bits=sel,
+                selective_bcr={m: raw / b for m, b in sel.items()},
+            )
+        )
+    return rows
+
+
+def scoring_outcome(score, *args):
+    """The rows, or the error's class and message."""
+    try:
+        return score(*args)
+    except Exception as exc:  # any class: the two paths must raise the same one
+        return type(exc), str(exc)
+
+
+def random_lead(rng, n):
+    """A random walk with rail-to-rail stretches, whose residuals escape at every order."""
+    x = np.cumsum(rng.integers(-int(rng.integers(1, 60)), 61, size=n)).clip(-2048, 2047)
+    for _ in range(int(rng.integers(0, 4))):
+        at, length = int(rng.integers(0, n + 1)), int(rng.integers(1, 40))
+        x[at : at + length] = np.resize([2047, -2048], x[at : at + length].size)
+    return x
+
+
+@pytest.mark.parametrize("interval", [0, 1, 2, 5, 6, 7, 1440])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_evaluate_channels_matches_the_packing_path(order, interval):
+    rng = np.random.default_rng(100 * order + interval)
+    for trial in range(4):
+        nch = int(rng.integers(1, 5))
+        n = int(rng.choice([0, 1, 5, 6, 7, int(rng.integers(8, 3001))]))
+        channels = [random_lead(rng, n) for _ in range(nch)]
+        if trial % 2:
+            channels = [c.tolist() for c in channels]
+        cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=nch, order=order)
+        args = (f"r{trial}", channels, cfg, 11, (4, 16))
+        got = scoring_outcome(bench.evaluate_channels, *args)
+        assert got == scoring_outcome(rows_by_packing, *args)
+        assert n == 0 or type(got) is list
+
+
+@pytest.mark.parametrize(
+    "channels, channel_count",
+    [
+        ([[0] * 10, [1] * 10], 1),  # more leads than the config says
+        ([[0] * 10, [1] * 9], 2),  # unequal lengths
+        ([[0] * 10, [1] * 9 + [2048]], 2),  # a sample above the 12-bit range
+        ([[0] * 5 + [1.5] + [0] * 4], 1),  # a float
+    ],
+)
+def test_evaluate_channels_refuses_what_the_packing_path_refuses(channels, channel_count):
+    cfg = encoder.EncoderConfig(resync_interval_samples=4, channel_count=channel_count)
+    got = scoring_outcome(bench.evaluate_channels, "bad", channels, cfg)
+    assert got[0] is ValueError
+    assert got == scoring_outcome(rows_by_packing, "bad", channels, cfg)
+
+
 def test_database_report_pools_channels_per_record(tmp_path):
     chans = [[0] * 60, [100] * 60]
     write_record(tmp_path, "r1", chans)

@@ -137,6 +137,42 @@ def test_a_rate_that_is_not_finite_and_positive_exits_two(tmp_path, capsys, rate
     assert not (tmp_path / "r.ecgz").exists() and not (tmp_path / "x.ecgz").exists()
 
 
+@pytest.mark.parametrize(
+    "rate, flags, stored",
+    [("0.2", [], 0), ("0.4", ["--resync-seconds", "1"], 0), ("65535.5", [], 65536), ("0.3", None, 0)],
+)
+def test_a_rate_the_container_cannot_store_exits_two_before_encoding(tmp_path, capsys, rate, flags, stored):
+    # a positive rate that rounds outside the 16-bit header field: no container, one error line, no encode
+    if flags is None:  # from a WFDB header
+        write_record(tmp_path, "r", [[0] * 10], rate=rate)
+        argv = ["compress", str(tmp_path / "r"), str(tmp_path / "out.ecgz")]
+    else:
+        src = tmp_path / "rec.csv"
+        src.write_text("1\n2\n3\n")
+        argv = ["compress", str(src), str(tmp_path / "out.ecgz"), "--rate", rate, *flags]
+    with mock.patch.object(cli, "compress", side_effect=AssertionError("encoded")):
+        assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: sample rate {float(rate):g} Hz rounds to {stored} Hz; the container holds 1..65535 Hz\n"
+    )
+    assert not (tmp_path / "out.ecgz").exists()
+
+
+def test_main_parses_each_call_afresh_and_dispatches_by_name(tmp_path, capsys):
+    # the parser is built once; options of one call must not leak into the next
+    src, _ = walk_csv(tmp_path, n=100, nch=1)
+    packed = tmp_path / "rec.ecgz"
+    assert cli.main(["compress", str(src), str(packed), "--order", "4"]) == 0
+    assert container.read_ecgz(packed.read_bytes())[0].predictor_order == 4
+    assert cli.main(["compress", str(src), str(packed)]) == 0
+    assert container.read_ecgz(packed.read_bytes())[0].predictor_order == 2
+    # a command replaced after the parser was built is the one that runs
+    with mock.patch.object(cli, "cmd_verify", return_value=7) as verify:
+        assert cli.main(["verify", str(src), str(packed)]) == 7
+    verify.assert_called_once()
+    assert cli.main(["verify", str(src), str(packed)]) == 0
+
+
 def test_wfdb_record_compresses_by_prefix(tmp_path, capsys):
     rng = np.random.default_rng(5)
     chans = [np.cumsum(rng.integers(-3, 4, size=300)).clip(-900, 900).tolist()]
