@@ -1,20 +1,21 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
-One array core, _decode, serves both decoders. One gather from a table
-of every 16-bit word's fields, built once per process, places every
-field of every frame at once. Type E fields are raw samples, the other
-fields residuals, and the history starts as L zeros, exactly as in the
-encoder. An order-L slope predictor is an L-th difference, so on a run
-of residual-coded samples the output is the L-fold running sum of the
-residuals plus a sequence that the predictor continues exactly from the
-L outputs before the run: a power of the predictor's companion matrix
-takes those L to the run's last L. Runs fewer than L raw samples apart
-chain, which makes the last L outputs of the runs an affine recurrence
-over runs; one doubling scan solves it for every run at once. The fields
-are the output's L-th differences but at raw samples, where the L-th
-difference is the field minus its prediction. So one running sum of the
-fields, shared with the scan, plus a step function of those corrections,
-then L - 1 more running sums rebuild the stream, in wrapping int16
+One array core, _decode, serves both decoders. It places the fields as
+encoder._pack packs them, one pass per frame type, from a table of every
+16-bit word's fields built once per process. Type E fields are raw
+samples, the other fields residuals, and the history starts as L zeros,
+exactly as in the encoder; the Type E frames' positions bound the runs
+of residual samples. An order-L slope predictor is an L-th difference,
+so on a run the output is the L-fold running sum of its residuals plus a
+sequence that the predictor continues exactly from the L outputs before
+the run: a power of the predictor's companion matrix takes those L to
+the run's last L. Runs fewer than L raw samples apart chain, which makes
+the last L outputs of the runs an affine recurrence over runs; one
+doubling scan solves it for every run at once. The fields are the
+output's L-th differences but at raw samples, where the L-th difference
+is the field minus its prediction. So one running sum of the fields,
+shared with the scan, plus a step function of those corrections, then
+L - 1 more running sums rebuild the stream, in wrapping int16
 arithmetic that is exact up to the first out-of-range sample (_decode
 says why).
 
@@ -86,16 +87,16 @@ def unpack_frame(word: int) -> DecodedFrame:
 
 @functools.cache
 def _field_table() -> np.ndarray:
-    """Every 16-bit word's sign-extended fields as a (65536, 6) int16 table, zero-padded.
+    """Every 16-bit word's sign-extended fields as a (6, 65536) int16 table, one row per field, zero-padded.
 
-    Rows of the reserved header are all zero. Built on first use, once per process.
+    Columns of the reserved header are all zero. Built on first use, once per process.
     """
     words = np.arange(1 << 16)
-    table = np.zeros((words.size, 6), dtype=np.int16)
+    table = np.zeros((6, words.size), dtype=np.int16)
     for ft in FRAME_TYPES.values():
         w = words[_COUNT_BY_TOP4[words >> 12] == ft.field_count]
         for j in range(ft.field_count):
-            table[w, j] = _field(w, ft, j)
+            table[j, w] = _field(w, ft, j)
     return table
 
 
@@ -151,21 +152,26 @@ def _decode(
     starts -= counts - L  # in place: the buffer index of each frame's first sample
 
     buf = np.zeros(n, dtype=np.int16)  # L zeros of history, then every field
-    # output sample i is field i - (starts - L) of its frame, at 6 * word + field in the flat table
-    at = np.repeat(6 * words[:stop] - (starts - L), counts)
-    at += np.arange(n - L)
-    buf[L:] = _field_table().ravel()[at]
-    del at
-    is_raw = np.zeros(n + 1, dtype=bool)  # the L zeros count as raw; a stop mark past the end
-    is_raw[:L] = is_raw[n] = True
-    is_raw[starts[counts == 1]] = True  # Type E, the one single-sample frame
-    edges = np.diff(is_raw.view(np.int8))
-    firsts, lasts = np.flatnonzero(edges == -1) + 1, np.flatnonzero(edges == 1)
-    known = _known(is_raw[:n], firsts, lasts, starts[:0] if lost is None else starts[lost[:stop]], L)
+    raw = np.empty(0, dtype=np.intp)  # until the Type E pass, if any
+    for count in _TYPE_BY_COUNT:  # one pass per type, the mirror of encoder._pack
+        frames = (counts == count).nonzero()[0]
+        if not frames.size:
+            continue
+        w, at = words.take(frames), starts.take(frames)
+        for j, column in enumerate(_field_table()[:count]):
+            if j:
+                at += 1
+            buf[at] = column.take(w)
+        if count == 1:
+            raw = at  # Type E, the one single-sample frame: its samples in stream order
+    bounds = np.concatenate(([L - 1], raw, [n]))  # the last history zero, the raw samples and a stop mark n
+    runs = (bounds[1:] - bounds[:-1] > 1).nonzero()[0]  # the residual runs lie between them
+    firsts, lasts = bounds[runs] + 1, bounds[runs + 1] - 1
+    known = _known(n, raw, firsts, lasts, starts[:0] if lost is None else starts[lost[:stop]], L)
     header = int(words[bad_word]) if bad_word < surplus else 0  # kept for parse_header's error below
     # Free the word-sized arrays before the rebuild allocates its own: the
     # smaller peak lets a call reuse the heap that the previous call freed.
-    del words, ends, starts, edges
+    del words, ends, starts, counts
 
     # Rebuild every maximal run of residual samples from the L outputs
     # before it. The fields are L-th differences of the output, except that
@@ -180,10 +186,7 @@ def _decode(
     out = buf
     if firsts.size:
         out = np.cumsum(buf, dtype=np.int16)
-        stops = np.flatnonzero(is_raw[L:])
-        stops += L  # the raw samples, then the stop mark n
-        if stops.size > 1:
-            raw = stops[:-1]
+        if raw.size:
             G = buf if L == 1 else out  # the (L-1)-fold running sum of buf
             for k in range(L - 2):
                 G = np.cumsum(G, out=G if k else None, dtype=np.int16)
@@ -192,7 +195,7 @@ def _decode(
             step = np.zeros(raw.size, dtype=np.int16)
             for k, a in enumerate(predictor.coefficients(order), start=1):
                 step -= a * buf[raw - k]
-            out[raw[0] :] += np.repeat(np.cumsum(step, dtype=np.int16), stops[1:] - raw)
+            out[raw[0] :] += np.repeat(np.cumsum(step, dtype=np.int16), bounds[2:] - raw)
         for _ in range(L - 1):
             np.cumsum(out, out=out, dtype=np.int16)
     lo, hi = predictor.SAMPLE_MIN, predictor.SAMPLE_MAX
@@ -209,16 +212,15 @@ def _decode(
     return out, known
 
 
-def _known(is_raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.ndarray, L: int) -> np.ndarray:
-    """Which buffer samples are known, given erasures just before the indices cuts.
+def _known(n: int, raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.ndarray, L: int) -> np.ndarray:
+    """Which of the n buffer samples are known, given erasures just before the indices cuts.
 
-    is_raw marks the raw samples, and firsts, lasts bound the runs of
+    raw holds the raw samples' indices, and firsts, lasts bound the runs of
     residual samples between them. Raw samples are known, and so is every
-    sample before the first cut. After it, an epoch runs from one cut to
-    the next; the first L raw samples in a row within an epoch
-    resynchronize it, and its samples from the L-th on are known.
+    sample before the first cut, the L of history included. After it, an
+    epoch runs from one cut to the next; the first L raw samples in a row
+    within an epoch resynchronize it, and its samples from the L-th on are known.
     """
-    n = is_raw.size
     if not cuts.size:
         return np.ones(n, dtype=bool)
     rs, re = np.append(0, lasts + 1), np.append(firsts, n)  # the raw runs [rs, re)
@@ -234,7 +236,9 @@ def _known(is_raw: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, cuts: np.n
     marks = np.zeros(n + 1, dtype=np.int8)  # +1 where a known stretch begins, -1 past its end
     marks[np.append(0, synced[ok])] = 1
     marks[np.append(cuts[0], ends[ok])] -= 1
-    return np.cumsum(marks[:n], dtype=np.int8).view(bool) | is_raw
+    known = np.cumsum(marks[:n], dtype=np.int8).view(bool)
+    known[raw] = True
+    return known
 
 
 def _run_exits(buf: np.ndarray, G: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, L: int) -> np.ndarray:
@@ -317,7 +321,7 @@ def _run_maps(lengths: np.ndarray, L: int) -> np.ndarray:
 
 def _first(mask: np.ndarray) -> int:
     """Index of the first True in mask, or len(mask) when there is none."""
-    hits = np.flatnonzero(mask)
+    hits = mask.nonzero()[0]
     return int(hits[0]) if hits.size else mask.size
 
 

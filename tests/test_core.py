@@ -382,6 +382,27 @@ def test_rebuild_edge_cases_match_the_scalar_oracle(order):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_every_single_and_adjacent_pair_erasure_matches_the_scalar_oracle(order):
+    # One short stream of all five frame types: raw runs at both ends, D frames
+    # from a flat stretch, then a walk whose steps grow through the widths.
+    # Erasing each frame, raw ones included, then each adjacent pair covers a
+    # lost Type E frame, which must not count as raw, and losses at the stop mark.
+    rng = np.random.default_rng(order)
+    steps = np.concatenate([rng.integers(-s, s + 1, size=8) for s in (1, 3, 9, 27, 81)])
+    jumps = [1500, -1500] * 2
+    xs = jumps + [0] * 24 + (np.cumsum(steps) >> (order - 1)).tolist() + jumps
+    words = encoder.encode_channel(np.array(xs), _config(order, 0)).tolist()
+    tags = [decoder.parse_header(w).tag for w in words]
+    assert set(tags) == set("ABCDE") and tags[0] == tags[-1] == "E"
+    assert decoder.decode_resilient(words, len(xs), order) == decode_resilient_scalar(words, len(xs), order)
+    for width in (1, 2):
+        for i in range(len(words) - width + 1):
+            frames = words[:i] + [None] * width + words[i + width :]
+            got = decoder.decode_resilient(frames, len(xs), order)
+            assert got == decode_resilient_scalar(frames, len(xs), order), (width, i, tags[i])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_list_int64_and_big_endian_uint16_words_decode_alike(order):
     xs = _signal("walk", order, 500)
     words = encoder.encode_channel(xs, _config(order, 13)).tolist()

@@ -41,18 +41,18 @@ def test_every_word_parses_by_its_header_bits_exhaustively():
     # and the core's field table, zero-padded to 6 fields, against unpack_frame
     counts = decoder._sample_counts(np.arange(1 << 16))
     table = decoder._field_table()
-    assert table.shape == (1 << 16, 6) and table.dtype == np.int16
+    assert table.shape == (6, 1 << 16) and table.dtype == np.int16
     for word in range(1 << 16):
         matching = [ft for ft in FRAME_TYPES.values() if word >> (16 - ft.header_len) == ft.header_bits]
         if word >> 12 == encoder.RESERVED_HEADER_BITS:
-            assert matching == [] and counts[word] == 0 and not table[word].any()
+            assert matching == [] and counts[word] == 0 and not table[:, word].any()
             with pytest.raises(ReservedHeaderError):
                 decoder.parse_header(word)
         else:
             assert decoder.parse_header(word) == matching[0] and len(matching) == 1
             assert counts[word] == matching[0].field_count
             fields = decoder.unpack_frame(word).fields
-            assert table[word].tolist() == fields + [0] * (6 - len(fields))
+            assert table[:, word].tolist() == fields + [0] * (6 - len(fields))
 
 
 def test_sample_counts_follow_parse_header_on_every_word_and_on_non_words():
