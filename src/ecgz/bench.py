@@ -340,7 +340,7 @@ class LossReport:
     total_samples: int
     known_samples_exact: bool
     unresynced_samples: int  # unknown after the first resync received in full past a loss (LossHarness.run)
-    span_bound: int | None = None
+    span_bound: int | None = None  # after one lost unit that a full resync follows (LossHarness.run)
 
     @property
     def corrupted_fraction(self) -> float:
@@ -352,11 +352,13 @@ class LossReport:
 
     @property
     def bound_ok(self) -> bool:
-        """Spans within span_bound; after one lost unit, the total too: a failed resync leaves many short spans."""
-        if self.span_bound is None:
-            return True
-        total = self.corrupted_samples if len(self.dropped_units) == 1 else 0
-        return max(self.max_span, total) <= self.span_bound
+        """All unknown samples within span_bound, not only each span: a failed resync leaves many short spans."""
+        return self.span_bound is None or self.corrupted_samples <= self.span_bound
+
+    @property
+    def passed(self) -> bool:
+        """Every known sample exact, within the bound, and every sample known after a full resync."""
+        return self.known_samples_exact and self.bound_ok and not self.unresynced_samples
 
 
 def _choose_drops(pattern: LossPattern, n_units: int, rng: random.Random) -> set[int]:
@@ -389,10 +391,10 @@ class LossHarness:
         self.channels = [np.asarray(ch, dtype=np.int64) for ch in channels]
         self.expected_frames = [len(f) for f in self.channel_frames]
         self._counts = [decoder._sample_counts(f) for f in self.channel_frames]
-        # ChannelEncoder sends the frame that starts at sample q with sample q + 5 and
-        # flushes the rest after the last sample; the leads share the link round-robin.
+        # ChannelEncoder sends the frame that starts at sample q with sample q + SEND_LAG
+        # and flushes the rest after the last sample; the leads share the link round-robin.
         nch, n = len(self.channels), len(self.channels[0])
-        at = [np.minimum(np.cumsum(c) - c + 5, n) * nch + ch for ch, c in enumerate(self._counts)]
+        at = [np.minimum(np.cumsum(c) - c + encoder.SEND_LAG, n) * nch + ch for ch, c in enumerate(self._counts)]
         order = np.argsort(np.concatenate(at), kind="stable")
         chans = np.repeat(np.arange(nch), self.expected_frames)[order]
         words = np.concatenate(self.channel_frames)[order]
@@ -403,7 +405,6 @@ class LossHarness:
         self,
         pattern: LossPattern = LossPattern(),
         seed: int = 0,
-        span_bound: int | None = None,
         drops: set[int] | None = None,
     ) -> LossReport:
         """Drop wire units, decode resiliently, audit against the input.
@@ -418,7 +419,8 @@ class LossHarness:
         must match the input exactly, which the report records in
         known_samples_exact. From the first resync received in full
         after a loss up to the next loss, every sample must be known;
-        unresynced_samples counts those that are not (_unresynced).
+        unresynced_samples counts those that are not (_unresynced). After one
+        lost unit that such a resync follows, span_bound caps the unknown total.
         """
         if drops is None:
             rng = random.Random(seed)
@@ -429,7 +431,7 @@ class LossHarness:
         received, _ = container._wire_arrays(kept, len(self.channels), self.expected_frames)
 
         all_spans: list[list[tuple[int, int]]] = []
-        corrupted_total = unresynced = 0
+        corrupted_total = unresynced = resynced = 0
         exact = True
         for ch, samples in enumerate(self.channels):
             words, lost = received[ch]
@@ -443,7 +445,8 @@ class LossHarness:
             spans = decoder._runs(corrupted)
             all_spans.append(spans)
             corrupted_total += int(np.count_nonzero(corrupted))
-            unresynced += _unresynced(corrupted, self._counts[ch], lost, self.config.resync_interval_samples)
+            unknown, full = _unresynced(corrupted, self._counts[ch], lost, self.config.resync_interval_samples)
+            unresynced, resynced = unresynced + unknown, resynced + full
         return LossReport(
             seed=seed,
             pattern=pattern,
@@ -455,7 +458,7 @@ class LossHarness:
             total_samples=sum(len(c) for c in self.channels),
             known_samples_exact=exact,
             unresynced_samples=unresynced,
-            span_bound=span_bound,
+            span_bound=self.config.resync_interval_samples + encoder.SEND_LAG + 1 if len(drops) == resynced == 1 else None,
         )
 
 
@@ -464,24 +467,25 @@ def _drop_units(wire: bytes, drops: set[int]) -> bytes:
     return np.delete(units, list(drops), axis=0).tobytes()
 
 
-def _unresynced(corrupted: np.ndarray, counts: np.ndarray, lost: np.ndarray, interval: int) -> int:
-    """Samples still corrupted after the first resync that follows each lost frame in full.
+def _unresynced(corrupted: np.ndarray, counts: np.ndarray, lost: np.ndarray, interval: int) -> tuple[int, int]:
+    """Samples still corrupted after the first resync that follows each lost frame in full; and such lost frames.
 
     For a lost frame that ends before sample e, that is the first resync
-    point s = k * interval with s - 5 >= e and s + 7 <= n: its forced raw
-    frames start at s - 5 or later, after the loss, and both go out
-    before the final flush. From s + RESYNC_RAW_SAMPLES up to the next
-    lost frame, every sample must be known.
+    point s = k * interval with s - SEND_LAG >= e, so its forced raw frames
+    start after the loss, and s + RESYNC_RAW_SAMPLES + SEND_LAG <= n, so
+    they go out before the final flush. From s + RESYNC_RAW_SAMPLES up to
+    the next lost frame, every sample must be known.
     """
     if not interval or not lost.any():
-        return 0
+        return 0, 0
     ends = np.cumsum(counts, dtype=np.int64)
     n, e = int(ends[-1]), ends[lost]
-    s = -(-(e + 5) // interval) * interval
+    s = -(-(e + encoder.SEND_LAG) // interval) * interval
     lo, hi = s + encoder.RESYNC_RAW_SAMPLES, np.append((ends - counts)[lost][1:], n)
-    checked = (s + 7 <= n) & (lo < hi)
+    full = lo + encoder.SEND_LAG <= n
+    checked = full & (lo < hi)
     bad = np.concatenate([[0], np.cumsum(corrupted)])
-    return int((bad[hi[checked]] - bad[lo[checked]]).sum())
+    return int((bad[hi[checked]] - bad[lo[checked]]).sum()), int(np.count_nonzero(full))
 
 
 def _audit_channel(

@@ -43,6 +43,7 @@ MAGIC = b"ECGZ"
 VERSION = 1
 _HEAD = struct.Struct(">BBHIB")  # version, channel_count, rate, resync, order
 SEQ_MOD = 64
+MAX_CHANNELS = 4  # the wire tag's channel field is 2 bits
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class RecordMeta:
     sample_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.channel_count <= 4:
-            raise ValueError("channel count must be 1..4")
+        if not 1 <= self.channel_count <= MAX_CHANNELS:
+            raise ValueError(f"channel count must be 1..{MAX_CHANNELS}")
         if len(self.sample_counts) != self.channel_count:
             raise ValueError("one sample count per channel required")
         if not 0 <= self.sample_rate_hz <= 0xFFFF:
@@ -100,8 +101,8 @@ def read_ecgz(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
     version, channel_count, rate, resync, order = _HEAD.unpack_from(data, 4)
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    if not 1 <= channel_count <= 4:
-        raise ContainerError(f"channel count {channel_count} outside 1..4")
+    if not 1 <= channel_count <= MAX_CHANNELS:
+        raise ContainerError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}")
     if not 1 <= order <= 4:
         raise ContainerError(f"predictor order {order} outside 1..4")
     off = 4 + _HEAD.size
@@ -131,23 +132,23 @@ def wire_encode(emission_log: Sequence[tuple[int, int]]) -> bytes:
     if flat is not None and flat.size != 2 * len(emission_log):
         raise ValueError("emission log entries must be (channel, word) pairs")
     if flat is None:
-        first = next(i for i, (ch, w) in enumerate(emission_log) if not (_is_uint(ch, 3) and _is_uint(w)))
+        first = next(i for i, (ch, w) in enumerate(emission_log) if not (_is_uint(ch, MAX_CHANNELS - 1) and _is_uint(w)))
     else:
         chans, words = flat[0::2], flat[1::2]
-        bad = np.flatnonzero((chans < 0) | (chans > 3) | (words < 0) | (words > 0xFFFF))
+        bad = np.flatnonzero((chans < 0) | (chans >= MAX_CHANNELS) | (words < 0) | (words > 0xFFFF))
         first = int(bad[0]) if bad.size else None
     if first is not None:  # the channel is checked before the word
         ch, word = emission_log[first]
-        if not _is_uint(ch, 3):
-            raise ValueError(f"channel id {ch} outside 0..3")
+        if not _is_uint(ch, MAX_CHANNELS - 1):
+            raise ValueError(f"channel id {ch} outside 0..{MAX_CHANNELS - 1}")
         raise ValueError(f"frame word {word!r} is not a 16-bit value")
     return _wire_units(chans, words)
 
 
 def _wire_units(chans: np.ndarray, words: np.ndarray) -> bytes:
-    """wire_encode of integer arrays of channel ids, 0..3, and 16-bit frame words, unchecked."""
+    """wire_encode of integer arrays of channel ids, below MAX_CHANNELS, and 16-bit frame words, unchecked."""
     units = np.empty((chans.size, 3), dtype=np.uint8)
-    for ch in range(4):  # each channel numbers its own units
+    for ch in range(MAX_CHANNELS):  # each channel numbers its own units
         sel = np.flatnonzero(chans == ch)
         units[sel, 0] = (ch << 6) | (np.arange(sel.size) % SEQ_MOD)
     units[:, 1] = words >> 8
@@ -200,8 +201,8 @@ def _wire_arrays(
     """wire_decode with each channel as (words, lost): int64 frame words, 0 where the bool mask marks a loss."""
     if len(data) % 3:
         raise TruncationError(f"wire stream of {len(data)} bytes is not whole 3-byte units")
-    if not 1 <= channel_count <= 4:
-        raise ValueError("channel count must be 1..4")
+    if not 1 <= channel_count <= MAX_CHANNELS:
+        raise ValueError(f"channel count must be 1..{MAX_CHANNELS}")
     units = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
     chans = units[:, 0] >> 6
     unknown = np.flatnonzero(chans >= channel_count)

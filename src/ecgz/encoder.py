@@ -13,11 +13,14 @@ equal-width two's-complement fields.
 Header 0010 is reserved. Residuals are classified by the smallest field
 width that holds them (2, 3, 5, or 7 bits); anything wider escapes to
 Type E, which stores the raw sample instead. Pending samples queue up
-(at most 6) and whenever the queue is full the densest applicable type
-wins, in priority order D, C, A, B, E. The array core (encode_channel,
-run per lead by encode_channels) states each frame rule once:
-_frame_counts selects, _frame_walk walks, and _PACKERS, one
-shift-and-or expression per type, packs a whole numpy pass. The
+(at most 6, Type D's count) and whenever the queue is full the densest
+applicable type wins, in priority order D, C, A, B, E. So the frame that
+starts at sample q goes out when sample q + SEND_LAG (5) arrives, or in
+the flush at the end of input. SEND_LAG states that schedule once: the
+core, the streaming encoder's table and the loss harness read it. The
+array core (encode_channel, run per lead by encode_channels) states each
+frame rule once: _frame_counts selects, _frame_walk walks, and _PACKERS,
+one shift-and-or expression per type, packs a whole numpy pass. The
 streaming ChannelEncoder looks each frame size up in a table that
 _frame_counts builds over every window of six width classes, packs one
 frame with the same _PACKERS, and flushes its queue through the core.
@@ -25,7 +28,9 @@ frame with the same _PACKERS, and flushes its queue through the core.
 Type E doubles as the resynchronization frame: at a configurable sample
 interval the encoder forces RESYNC_RAW_SAMPLES consecutive E frames so a
 decoder that lost frames can rebuild its predictor history from the raw
-samples.
+samples. The resync fired after sample s - 1 makes Type E the next
+RESYNC_RAW_SAMPLES frames to go out, from sample s on, so the first of
+them starts at s - SEND_LAG or later; the flush ignores a pending resync.
 
 The core finds every frame start without a per-frame loop. A step table
 sends each position to the start of the next frame, with the forced E
@@ -54,13 +59,12 @@ from typing import Sequence
 import numpy as np
 
 from . import predictor
+from .container import MAX_CHANNELS
 from .predictor import SAMPLE_BITS, SAMPLE_MAX, SAMPLE_MIN
 
 # Worth a reminder: 4 seconds of samples, the default resync spacing,
 # is 2048 samples at the 512 Hz front-end rate.
 DEFAULT_RESYNC_INTERVAL = 2048
-
-MAX_CHANNELS = 4
 
 # Raw samples forced at each resync: two rebuild the order-2 history.
 RESYNC_RAW_SAMPLES = 2
@@ -85,6 +89,10 @@ FRAME_E = FrameType("E", 0b0011, 4, SAMPLE_BITS, 1, carries_original=True)
 FRAME_TYPES: dict[str, FrameType] = {ft.tag: ft for ft in (FRAME_A, FRAME_B, FRAME_C, FRAME_D, FRAME_E)}
 PRIORITY: tuple[FrameType, ...] = (FRAME_D, FRAME_C, FRAME_A, FRAME_B, FRAME_E)
 RESERVED_HEADER_BITS = 0b0010
+# A frame is chosen once the queue holds enough samples for the widest type, D:
+# the frame that starts at sample q goes out when sample q + SEND_LAG arrives,
+# or in the flush at the end of input.
+SEND_LAG = FRAME_D.field_count - 1
 
 WIDTH_CLASSES = (2, 3, 5, 7)
 # Pseudo-width for residuals wider than 7 bits; only Type E can carry those.
@@ -150,10 +158,10 @@ def _size_table() -> dict[int, int]:
     The sizes come from the array core's rule, so the streaming encoder
     and the core cannot disagree.
     """
-    classes = np.array([*WIDTH_CLASSES, ESC], dtype=np.int8)
-    combos = classes[np.indices((classes.size,) * 6).reshape(6, -1).T]
-    keys = combos @ (1 << np.arange(20, -1, -4))
-    return dict(zip(keys.tolist(), _frame_counts(combos.ravel())[::6].tolist()))
+    window, classes = SEND_LAG + 1, np.array([*WIDTH_CLASSES, ESC], dtype=np.int8)
+    combos = classes[np.indices((classes.size,) * window).reshape(window, -1).T]
+    keys = combos @ (1 << np.arange(4 * SEND_LAG, -1, -4))
+    return dict(zip(keys.tolist(), _frame_counts(combos.ravel())[::window].tolist()))
 
 
 def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
@@ -261,7 +269,7 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     end are padded above ESC, so the same rule serves the final flush,
     where only types that fit the short queue qualify.
     """
-    w = np.concatenate([widths, np.full(5, ESC + 1, dtype=widths.dtype)])  # the last window of six reads 5 past the end
+    w = np.concatenate([widths, np.full(SEND_LAG, ESC + 1, dtype=widths.dtype)])  # the last window reads past the end
     w2 = np.maximum(w[:-1], w[1:])  # wk[i]: widest of the k samples from i
     w3 = np.maximum(w2[:-1], w[2:])
     w4 = np.maximum(w3[:-1], w[3:])
@@ -279,14 +287,14 @@ _DOUBLINGS = 5
 def _forced_end(landing: np.ndarray, last: int, interval: int, e_frames: int) -> np.ndarray:
     """End of the forced single frames from each landing, chained through stops.
 
-    A frame from a landing at or after stop k * interval - 5 goes out with
-    a resync pending, so it and the frames after it are Type E, up to
-    e_frames of them, the flush at last = n - 5, or the next stop. At
-    that stop a new resync restarts the count of e_frames.
+    A frame from a landing at or after stop k * interval - SEND_LAG goes
+    out with a resync pending, so it and the frames after it are Type E, up
+    to e_frames of them, the flush at last = n - SEND_LAG, or the next
+    stop. At that stop a new resync restarts the count of e_frames.
     """
     if interval <= e_frames:  # every forced run reaches the next stop
         return np.full_like(landing, last)
-    stop = landing + interval - (landing + 5) % interval  # the next stop after each landing
+    stop = landing + interval - (landing + SEND_LAG) % interval  # the next stop after each landing
     end = np.minimum(np.minimum(landing + e_frames, last), stop)
     return np.where((stop <= landing + e_frames) & (stop < last), np.minimum(stop + e_frames, last), end)
 
@@ -294,14 +302,14 @@ def _forced_end(landing: np.ndarray, last: int, interval: int, e_frames: int) ->
 def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
     """First sample of every frame, given the greedy frame size at every position.
 
-    The frame starting at qs goes out when sample qs + 5 arrives, or in
-    the final flush once qs + 5 >= n. A resync fired after sample
+    The frame starting at qs goes out when sample qs + SEND_LAG arrives, or
+    in the final flush once qs + SEND_LAG >= n. A resync fired after sample
     k * interval - 1 forces Type E on the next e_frames emissions; a
     later one restarts the count, and the flush ignores it. So the walk
     is greedy except where a frame lands at or after a stop
-    k * interval - 5.
+    k * interval - SEND_LAG.
 
-    - Step table: position i steps to i + counts[i]. Only the six
+    - Step table: position i steps to i + counts[i]. Only the SEND_LAG + 1
       positions before each stop can step onto or over it; from those,
       a landing before the flush steps on to where its forced E frames
       end (_forced_end), and the forced frames are put back at the end.
@@ -313,20 +321,21 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
       and builds no jump table.
     """
     n = counts.size
-    last = n - 5  # frames from here on go out in the flush
+    last = n - SEND_LAG  # frames from here on go out in the flush
     step = np.arange(n + 1, dtype=np.intp)  # step[n] = n ends every chain
     step[:n] += counts
     start, froms = 0, np.zeros(0, dtype=np.int64)
-    if interval and last > max(interval - 5, 0):  # a resync fires before the flush
-        # the six positions before each stop, fewer where stops are closer
-        froms = (np.arange(interval - 5, last, interval)[:, None] - np.arange(min(interval, 6), 0, -1)).ravel()
+    if interval and last > max(interval - SEND_LAG, 0):  # a resync fires before the flush
+        # the SEND_LAG + 1 positions before each stop, fewer where stops are closer
+        froms = (np.arange(interval - SEND_LAG, last, interval)[:, None] - np.arange(min(interval, SEND_LAG + 1), 0, -1)).ravel()
         froms = froms[froms >= 0]
         landings = froms + counts[froms]
-        hit = (landings < last) & ((landings + 5) // interval > (froms + 5) // interval)  # a stop in (from, landing]
+        # a stop in (from, landing]
+        hit = (landings < last) & ((landings + SEND_LAG) // interval > (froms + SEND_LAG) // interval)
         froms, landings = froms[hit], landings[hit]
         ends = _forced_end(landings, last, interval, e_frames)
         step[froms] = ends
-        if interval <= 5:  # the first resync fires before the first frame goes out
+        if interval <= SEND_LAG:  # the first resync fires before the first frame goes out
             start = int(_forced_end(np.zeros(1, dtype=np.int64), last, interval, e_frames)[0])
     anchors = [start]  # a chain from start reaches n within n - start frames, so one anchor covers it
     if n - start >= 1 << _DOUBLINGS:

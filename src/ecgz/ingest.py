@@ -11,7 +11,9 @@ into three bytes:
 
 Samples interleave across signals fastest, one frame of all signals per
 time step. The bytes unpack into int16, and the leads stay int16 through
-centring on their baselines: the width the codec core works in.
+centring on their baselines: the width the codec core works in. Where a
+signal line gives the initial value and checksum, load_record holds the
+stored samples to them, so a damaged signal file is refused, not archived.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +40,8 @@ class SignalSpec:
     adc_zero: int
     baseline: int
     description: str = ""
+    initial_value: int | None = None  # the first sample, as stored
+    checksum: int | None = None  # the 16-bit sum of the stored samples, written signed or unsigned
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,13 @@ def _parse_signal_line(lineno: int, line: str) -> SignalSpec:
     try:
         adc_res = int(tok[3]) if len(tok) > 3 else 12
         adc_zero = int(tok[4]) if len(tok) > 4 else 0
+        initial_value = int(tok[5]) if len(tok) > 5 else None
+        checksum = int(tok[6]) if len(tok) > 6 else None
     except ValueError as exc:
         raise WfdbParseError(f"line {lineno}: {exc}") from None
     baseline = paren_baseline if paren_baseline is not None else adc_zero
     description = " ".join(tok[8:]) if len(tok) > 8 else ""
-    return SignalSpec(file_name, fmt, gain, adc_res, adc_zero, baseline, description)
+    return SignalSpec(file_name, fmt, gain, adc_res, adc_zero, baseline, description, initial_value, checksum)
 
 
 def _parse_gain(lineno: int, token: str) -> tuple[float, int | None]:
@@ -178,15 +184,44 @@ def normalize_to_12bit(raw_signals: Sequence[np.ndarray], record: WfdbRecord) ->
     return out
 
 
+def _check_signals(raw_signals: Sequence[np.ndarray], record: WfdbRecord) -> None:
+    """Raise WfdbParseError unless each signal's first sample and sum match the header's, where it gives them.
+
+    The sum wraps in int16, so it is the sum mod 2**16, which a header may
+    write signed or unsigned. In format 212 a flipped bit moves one sample
+    by a power of two below 2**12, so the checksum catches it.
+    """
+    for spec, raw in zip(record.signals, raw_signals):
+        name = f"{spec.file_name}:{spec.description or '?'}"
+        if spec.initial_value is not None and int(raw[0]) != spec.initial_value:
+            raise WfdbParseError(f"signal {name} starts at {int(raw[0])}, its header's initial value {spec.initial_value}")
+        if spec.checksum is not None:
+            total = int(raw.sum(dtype=np.int16))
+            if (total - spec.checksum) % (1 << 16):
+                total = total if spec.checksum < 0 else total % (1 << 16)  # in the header's form
+                raise WfdbParseError(f"signal {name} sums to {total}, its header's checksum {spec.checksum}")
+
+
 def load_record(path: str | Path) -> tuple[WfdbRecord, list[np.ndarray]]:
-    """Read <record>.hea plus its signal file and return the centred leads as int16 arrays."""
+    """Read <record>.hea plus its signal file and return the record and its centred leads as int16 arrays.
+
+    A header that declares 0 samples per signal takes the count from the
+    signal file's size, 3 bytes per 2 samples; a file too short for one
+    sample per signal is refused. Bytes past the samples are not read.
+    """
     head = Path(path).with_suffix(".hea")
     record = parse_wfdb_header(head.read_text())
     dat_names = {s.file_name for s in record.signals}
     if len(dat_names) != 1:
         raise WfdbParseError(f"record {record.name} spreads signals over {len(dat_names)} files")
     dat = head.parent / dat_names.pop()
-    raw = read_format212(dat.read_bytes(), record.samples_per_signal, record.signal_count)
+    data = dat.read_bytes()
+    if not record.samples_per_signal:
+        record = replace(record, samples_per_signal=2 * len(data) // 3 // record.signal_count)
+        if not record.samples_per_signal:
+            raise WfdbParseError(f"record {record.name} declares no samples, and {dat.name} holds none")
+    raw = read_format212(data, record.samples_per_signal, record.signal_count)
+    _check_signals(raw, record)
     return record, normalize_to_12bit(raw, record)
 
 

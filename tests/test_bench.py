@@ -269,12 +269,10 @@ def test_no_loss_run_is_clean():
 
 def test_single_loss_report_shape():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
-    report = bench.LossHarness([synthetic_channel()], cfg).run(
-        bench.LossPattern("single"), seed=5, span_bound=726
-    )
+    report = bench.LossHarness([synthetic_channel()], cfg).run(bench.LossPattern("single"), seed=5)
     assert len(report.dropped_units) == 1
     assert report.known_samples_exact
-    assert report.bound_ok
+    assert report.span_bound == 726 and report.bound_ok and report.passed
     assert report.corrupted_samples == sum(
         stop - start for spans in report.spans for start, stop in spans
     )
@@ -328,9 +326,9 @@ def test_multichannel_loss_only_touches_the_hit_channel():
 def test_loss_sweep_shares_the_encode():
     cfg = encoder.EncoderConfig(resync_interval_samples=720)
     harness = bench.LossHarness([synthetic_channel()], cfg)
-    reports = [harness.run(bench.LossPattern("single"), seed=s, span_bound=726) for s in range(8)]
+    reports = [harness.run(bench.LossPattern("single"), seed=s) for s in range(8)]
     assert len(reports) == 8
-    assert all(r.known_samples_exact and r.bound_ok for r in reports)
+    assert all(r.known_samples_exact and r.span_bound == 726 and r.bound_ok for r in reports)
     assert {r.seed for r in reports} == set(range(8))
 
 

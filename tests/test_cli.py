@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecgz
-from ecgz import cli, container, encoder
+from ecgz import bench, cli, container, encoder
 from ecgz.errors import ReservedHeaderError
 from oracle import write_csv_scalar
-from test_ingest import pack212, write_record
+from test_ingest import pack212, sample_bits, write_record
 
 
 def write_csv(path, channels):
@@ -280,6 +280,54 @@ def test_simulate_loss_verdict_counts_the_total_after_one_lost_unit(order, capsy
             assert unresynced == [0] * len(unresynced)
 
 
+def test_simulate_loss_holds_no_loss_at_the_tail_to_the_bound(capsys):
+    # the lost unit is the second forced raw frame of the resync at sample 2,484; the next
+    # resync would fall in the flush, which ignores it, so 13 samples stay unknown to the end
+    argv = ["simulate-loss", "--duration", "6.925", "--seed", "184815775", "--order", "1"]
+    argv += ["--resync-samples", "6", "--loss-mode", "single", "--unit-index", "1435"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("seed 184815775: dropped 1 unit(s), corrupted 13/2493 samples")
+    channels = [bench.synthetic_ecg(2493, 360.0, seed=184815775)]
+    harness = bench.LossHarness(channels, encoder.EncoderConfig(resync_interval_samples=6, order=1))
+    report = harness.run(drops={1435})
+    assert report.span_bound is None and report.unresynced_samples == 0 and report.known_samples_exact
+    assert report.max_span == 13 > 6 + 6 and report.passed
+    report = harness.run(drops={1432})  # the same frame of the resync before, which a full resync follows
+    assert report.span_bound == 12 and report.corrupted_samples == 4 and report.passed
+
+
+def test_a_flipped_source_bit_is_refused_by_compress_and_verify(tmp_path, capsys):
+    chans = [[0, 5, -7, 100, -100], [1, 2, 3, 4, 5]]
+    prefix = write_record(tmp_path, "f", chans, rate=360)
+    packed = tmp_path / "f.ecgz"
+    assert cli.main(["compress", str(prefix), str(packed)]) == 0
+    blob = (tmp_path / "f.dat").read_bytes()
+    capsys.readouterr()
+    for at, bit in sample_bits(5, 2):
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << bit
+        (tmp_path / "f.dat").write_bytes(flipped)
+        out = tmp_path / "g.ecgz"
+        assert cli.main(["compress", str(prefix), str(out)]) == 2 and not out.exists()
+        assert cli.main(["verify", str(prefix), str(packed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: signal f.dat:lead ")
+
+
+def test_compress_reads_a_zero_sample_header_to_the_end_of_its_signal_file(tmp_path, capsys):
+    chans = [list(range(100)), list(range(0, -200, -2))]
+    prefix = write_record(tmp_path, "z", chans, rate=360)
+    head = tmp_path / "z.hea"
+    head.write_text(head.read_text().replace("z 2 360 100", "z 2 360 0", 1))
+    assert cli.main(["compress", str(prefix), str(tmp_path / "z.ecgz")]) == 0
+    assert capsys.readouterr().out.startswith(f"{prefix}: 200 samples in 2 channel(s), ")
+    assert [c.tolist() for c in ecgz.decompress((tmp_path / "z.ecgz").read_bytes())[1]] == chans
+    (tmp_path / "z.dat").write_bytes(b"")
+    assert cli.main(["compress", str(prefix), str(tmp_path / "y.ecgz")]) == 2
+    assert capsys.readouterr().err == "error: record z declares no samples, and z.dat holds none\n"
+    assert not (tmp_path / "y.ecgz").exists()
+
+
 def test_simulate_loss_detects_csv_case_insensitively(tmp_path, capsys):
     src, _ = walk_csv(tmp_path, n=900, nch=2)
     argv = ["--loss-mode", "single", "--resync-samples", "200", "--seed", "4"]
@@ -310,7 +358,7 @@ def test_a_baseline_that_does_not_centre_is_reported_not_raised(tmp_path, capsys
     # a baseline beyond int64 once escaped as an OverflowError; one that only fails to
     # centre stopped ecgz bench for the whole directory
     write_record(tmp_path, "g0", [[0, 5, -7, 100, -100, 3]])
-    (tmp_path / "h0.hea").write_text(f"h0 1 360 6\nh0.dat 212 200({baseline}) 12 0 5 42189 0 lead0\n")
+    (tmp_path / "h0.hea").write_text(f"h0 1 360 6\nh0.dat 212 200({baseline}) 12 0 5 45 0 lead0\n")
     (tmp_path / "h0.dat").write_bytes(pack212([5, 6, 7, 8, 9, 10]))
     reason = f"signal h0.dat:lead0 leaves -2048..2047 after centering on {baseline}"
     packed = tmp_path / "g0.ecgz"

@@ -350,3 +350,42 @@ def test_resilient_rejects_surplus_and_truncation():
         with pytest.raises(CorruptStreamError, match="^frame stream carries more than the declared 10 samples$"):
             decode(words, 10, 2)
 
+
+def _leads(n: int, seed: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {
+        "walk": np.cumsum(rng.integers(-12, 13, size=n)).clip(-2048, 2047),
+        "noise": rng.integers(-2048, 2048, size=n),
+        "rails": np.where(np.arange(n) % 2, 2047, -2048),
+    }
+
+
+# Orders 1 and 2, whose history two raw samples rebuild. Orders 3 and 4 join once
+# each resync forces as many raw samples as the order.
+@pytest.mark.parametrize("order", [1, 2])
+def test_one_erased_frame_resyncs_at_the_next_full_resync(order):
+    # the frame that starts at sample q goes out with sample q + 5, so the resync fired
+    # after sample s - 1 turns the first frame from s - 5 on, and the next, into raw frames
+    cases = [(interval, lead, None) for interval in (*range(1, 8), 50) for lead in _leads(120, interval).values()]
+    cases += [(interval, lead, 60) for interval in (50, 1440) for lead in _leads(4_000, interval).values()]
+    rng = np.random.default_rng(order)
+    checked = 0
+    for interval, lead, sample in cases:
+        words = encoder.encode_channel(lead, EncoderConfig(resync_interval_samples=interval, order=order))
+        counts = np.array([frame_sample_count(w) for w in words])
+        starts = np.cumsum(counts) - counts
+        units = range(words.size) if sample is None else rng.choice(words.size, sample, replace=False)
+        for i in units:
+            s = interval * max(1, -(-(starts[i] + counts[i] + 5) // interval))  # the first stop from the loss's end + 5
+            r = int(np.searchsorted(starts, s - 5))  # the first frame from s - 5
+            if r + 1 >= words.size or counts[r] != 1 or counts[r + 1] != 1:
+                continue  # the resync falls in the final flush, or past the end
+            lost = np.zeros(words.size, dtype=bool)
+            lost[i] = True
+            out, known = decoder._decode(words, lead.size, order, lost)
+            at = np.flatnonzero(np.repeat(~lost, counts))  # each received sample's position
+            assert np.array_equal(out[known], lead[at[known]]), (interval, i)
+            unknown = np.setdiff1d(np.arange(lead.size), at[known])
+            assert unknown.size <= interval + 6 and (unknown.size == 0 or unknown[-1] < starts[r]), (interval, i)
+            checked += 1
+    assert checked > 2_500  # of about 2,920 erasures: few fall where no full resync follows

@@ -228,8 +228,10 @@ def test_normalize_checks_signal_count():
 def write_record(tmp_path, name, channels, rate=250, adc_zero=1024):
     n = len(channels[0])
     lines = [f"{name} {len(channels)} {rate} {n}"]
-    for _ in channels:
-        lines.append(f"{name}.dat 212 200 12 {adc_zero} 0 0 0 lead")
+    for ch in channels:
+        stored = [(v + adc_zero + 2048) % 4096 - 2048 for v in ch]  # the 12-bit values the file holds
+        checksum = (sum(stored) + 32768) % 65536 - 32768  # written signed, as MIT-BIH does
+        lines.append(f"{name}.dat 212 200 12 {adc_zero} {stored[0] if n else 0} {checksum} 0 lead")
     (tmp_path / f"{name}.hea").write_text("\n".join(lines) + "\n")
     flat = []
     for i in range(n):
@@ -264,6 +266,10 @@ def test_format212_leads_are_int16_and_match_the_byte_oracle(tmp_path, n_signals
     want = oracle_unpack(data, n_samples, n_signals)
     got = ingest.read_format212(data, n_samples, n_signals)
     assert all(g.dtype == np.int16 for g in got) and [g.tolist() for g in got] == want
+    if not n_samples:  # a header's 0 samples means "as many as the file holds", and this file holds none
+        with pytest.raises(WfdbParseError, match="^record r declares no samples, and r.dat holds none$"):
+            ingest.load_record(prefix)
+        return
     _, leads = ingest.load_record(prefix)
     assert all(a.dtype == np.int16 for a in leads)
     assert [a.tolist() for a in leads] == [[v - baseline for v in w] for w in want]
@@ -273,6 +279,83 @@ def test_load_record_rejects_split_signal_files(tmp_path):
     (tmp_path / "x.hea").write_text("x 2 250 4\na.dat 212\nb.dat 212\n")
     with pytest.raises(WfdbParseError, match="files"):
         ingest.load_record(tmp_path / "x")
+
+
+def sample_bits(n_samples: int, n_signals: int):
+    """(byte, bit) of every bit of a format-212 file that belongs to a sample.
+
+    With an odd sample total the file ends in two bytes whose second holds
+    only the last sample's high nibble; its other nibble is padding.
+    """
+    size = (n_samples * n_signals * 3 + 1) // 2
+    padded = size - 1 if n_samples * n_signals % 2 else None
+    return [(at, bit) for at in range(size) for bit in range(8) if not (at == padded and bit >= 4)]
+
+
+@pytest.mark.parametrize(("n_signals", "n_samples"), [(2, 5), (3, 3), (1, 7)])
+def test_load_record_refuses_every_flipped_sample_bit(tmp_path, n_signals, n_samples):
+    rng = np.random.default_rng(n_signals)
+    chans = rng.integers(-900, 900, size=(n_signals, n_samples)).tolist()
+    prefix = write_record(tmp_path, "f", chans)
+    blob = (tmp_path / "f.dat").read_bytes()
+    assert [a.tolist() for a in ingest.load_record(prefix)[1]] == chans
+    for at, bit in sample_bits(n_samples, n_signals):
+        flipped = bytearray(blob)
+        flipped[at] ^= 1 << bit
+        (tmp_path / "f.dat").write_bytes(flipped)
+        with pytest.raises(WfdbParseError, match=r"^signal f\.dat:lead (starts at|sums to) "):
+            ingest.load_record(prefix)
+    if n_samples * n_signals % 2:  # the padding nibble and bytes past the samples are not read
+        (tmp_path / "f.dat").write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xF0]) + b"\xff\x00")
+        assert [a.tolist() for a in ingest.load_record(prefix)[1]] == chans
+
+
+def test_load_record_checks_each_header_field_it_is_given(tmp_path):
+    # MIT-BIH writes the checksum signed (100.hea's -22131); perfbench's generator unsigned
+    raw = [995, 1000, -2048, 2047, 7]  # sums to 2001
+    (tmp_path / "c.dat").write_bytes(pack212(raw))
+    head = tmp_path / "c.hea"
+    for fields in ("", "995", "995 2001", "0 2001 0 MLII", "995 2001 0 MLII"):
+        head.write_text(f"c 1 360 5\nc.dat 212 200 12 0 {fields}\n")
+        if fields.startswith("0 "):
+            with pytest.raises(WfdbParseError, match=r"^signal c\.dat:MLII starts at 995, its header's initial value 0$"):
+                ingest.load_record(tmp_path / "c")
+        else:
+            assert ingest.load_record(tmp_path / "c")[1][0].tolist() == raw
+    (tmp_path / "c.dat").write_bytes(pack212([995, 1001, -2048, 2047, 7]))
+    for checksum, computed in (("2001", "2002"), ("-1", "2002"), ("65535", "2002")):
+        head.write_text(f"c 1 360 5\nc.dat 212 200 12 0 995 {checksum}\n")
+        with pytest.raises(WfdbParseError, match=rf"^signal c\.dat:\? sums to {computed}, its header's checksum {checksum}$"):
+            ingest.load_record(tmp_path / "c")
+    raw = [-2048] * 20  # -40,960 wraps to 24,576, or -40,960 + 65,536
+    (tmp_path / "c.dat").write_bytes(pack212(raw))
+    for checksum in ("24576", "-40960"):
+        head.write_text(f"c 1 360 20\nc.dat 212 200 12 0 -2048 {checksum}\n")
+        assert ingest.load_record(tmp_path / "c")[1][0].tolist() == raw
+    head.write_text("c 1 360 20\nc.dat 212 200 12 0 -2048 12x\n")
+    with pytest.raises(WfdbParseError, match="^line 2: "):
+        ingest.load_record(tmp_path / "c")
+
+
+def test_a_zero_sample_header_takes_the_count_from_the_signal_file(tmp_path):
+    chans = [list(range(-50, 50)), list(range(100, 0, -1))]
+    prefix = write_record(tmp_path, "z", chans)
+    head = tmp_path / "z.hea"
+    head.write_text(head.read_text().replace("z 2 250 100", "z 2 250 0", 1))
+    record, leads = ingest.load_record(prefix)
+    assert record.samples_per_signal == 100 and [a.tolist() for a in leads] == chans
+    blob = (tmp_path / "z.dat").read_bytes()
+    (tmp_path / "z.dat").write_bytes(blob + b"\x00" * 7)  # 2 more zero samples per signal, and a stray byte
+    record, leads = ingest.load_record(prefix)
+    assert record.samples_per_signal == 102 and [a.tolist()[:100] for a in leads] == chans
+    head.write_text("z 2 250 0\nz.dat 212 200 12 1024\nz.dat 212 200 12 1024\n")
+    for size, count in ((0, 0), (1, 0), (2, 0), (3, 1), (5, 1), (6, 2)):
+        (tmp_path / "z.dat").write_bytes(blob[:size])
+        if count:
+            assert ingest.load_record(prefix)[0].samples_per_signal == count
+        else:
+            with pytest.raises(WfdbParseError, match="^record z declares no samples, and z.dat holds none$"):
+                ingest.load_record(prefix)
 
 
 # ---------------------------------------------------------------------------
