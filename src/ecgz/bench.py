@@ -18,19 +18,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import baselines, container, decoder, encoder, ingest, predictor
+from .encoder import bcr  # noqa: F401  still bench.bcr; the codec commands read it from encoder
 from .errors import WfdbParseError
 
 DEFAULT_M_VALUES = (8, 16, 32, 64)
 ORIG_BITS_DEFAULT = 12
-
-
-def bcr(n_samples: int, orig_bits: int, compressed_bits: int) -> float:
-    """Bit compression ratio: original bits over compressed bits."""
-    if n_samples < 0 or orig_bits < 1:
-        raise ValueError("need a non-negative sample count and positive original width")
-    if compressed_bits <= 0:
-        raise ValueError("compressed size must be positive")
-    return n_samples * orig_bits / compressed_bits
 
 
 def discover_records(directory: str | Path) -> list[Path]:
@@ -75,6 +67,8 @@ def _write_csv(path: str | Path, head: Sequence[str], rows: Iterable[Sequence[ob
 
 @dataclass
 class ChannelRow:
+    """One lead of one record: the packer's frames and bits against the Huffman estimates."""
+
     record: str
     channel: int
     n_samples: int
@@ -101,6 +95,8 @@ class RecordRow:
 
 @dataclass
 class DatabaseReport:
+    """The ratio report over a record set, one ChannelRow per lead."""
+
     rows: list[ChannelRow]
     missing: list[str]
     orig_bits: int
@@ -234,6 +230,8 @@ def run_database_eval(
 
 @dataclass
 class PredictorRow:
+    """One lead of one record: mean absolute and RMS prediction error by order."""
+
     record: str
     channel: int
     mape: dict[int, float]
@@ -242,6 +240,8 @@ class PredictorRow:
 
 @dataclass
 class PredictorReport:
+    """The prediction-error report over a record set, one PredictorRow per lead."""
+
     rows: list[PredictorRow]
     missing: list[str]
     orders: tuple[int, ...]
@@ -330,6 +330,8 @@ class LossPattern:
 
 @dataclass
 class LossReport:
+    """One loss simulation: what was dropped, the unknown spans and the audit of the decode."""
+
     seed: int
     pattern: LossPattern
     n_channels: int

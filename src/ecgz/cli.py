@@ -4,6 +4,11 @@ Subcommands: compress, decompress, verify, bench, predict-eval,
 simulate-loss. Inputs are integer CSV (one row per time step, one column
 per channel) or WFDB format-212 records; outputs are .ecgz containers
 and CSV reports.
+
+The codec commands (compress, decompress, verify) load only the codec
+modules. The report commands (bench, predict-eval, simulate-loss) import
+bench, and with it baselines and the report writer, when they run, so a
+codec process never pays for them.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bench, compress, container, decoder, decompress, encoder, ingest
+from . import compress, container, decoder, decompress, encoder, ingest
 from .errors import EcgzError
 from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
@@ -33,6 +38,17 @@ format 212) and point --data or ECGZ_MITDB_DIR at the directory.
 
 
 CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write by decompress; its cell table, mask and compress index grow with it
+
+
+def _positive_int(text: str) -> int:
+    """A count such as --orig-bits: an integer of at least 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _rate(text: str) -> float:
@@ -66,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input_flags(sp)
     sp.add_argument("--rate", type=_rate, default=512.0, help="sample rate in Hz for CSV input")
     add_codec_flags(sp)
-    sp.add_argument("--orig-bits", type=int, default=12, help="raw bits per sample for the ratio summary")
+    sp.add_argument("--orig-bits", type=_positive_int, default=12, help="raw bits per sample for the ratio summary")
 
     sp = sub.add_parser("decompress", help="expand a .ecgz container to CSV")
     sp.add_argument("input", type=Path)
@@ -137,7 +153,7 @@ def cmd_compress(args) -> int:
     args.output.write_bytes(blob)
     n = sum(len(c) for c in channels)
     frames = sum(w.size for w in container.read_ecgz(blob)[1])
-    ratio = bench.bcr(n, args.orig_bits, 16 * frames) if frames else float("nan")
+    ratio = encoder.bcr(n, args.orig_bits, 16 * frames) if frames else float("nan")
     print(f"{args.input}: {n} samples in {len(channels)} channel(s), {frames} frames, bcr {ratio:.3f}")
     return 0
 
@@ -201,6 +217,8 @@ def cmd_verify(args) -> int:
 
 
 def _select_records(args) -> list[Path]:
+    from . import bench
+
     paths = bench.discover_records(args.data)
     if args.records:
         wanted = {r.strip() for r in args.records.split(",") if r.strip()}
@@ -229,6 +247,8 @@ def _run_report(args, evaluate, summarize, csv_name: str) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     def evaluate(paths):
         cfg = _codec_config(args, 0.0)  # checks both flags; without --resync-samples, each record's own rate
         seconds = args.resync_seconds if args.resync_samples is None else None
@@ -246,6 +266,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_predict_eval(args) -> int:
+    from . import bench
+
     def summarize(report):
         return (
             f"lowest average error at order {report.argmin_mape_order()} (mape), "
@@ -256,6 +278,8 @@ def cmd_predict_eval(args) -> int:
 
 
 def cmd_simulate_loss(args) -> int:
+    from . import bench
+
     if args.record == "synthetic":
         n = int(round(args.duration * args.rate))
         channels = [bench.synthetic_ecg(n, args.rate, seed=args.seed)]

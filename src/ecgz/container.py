@@ -48,6 +48,8 @@ MAX_CHANNELS = 4  # the wire tag's channel field is 2 bits
 
 @dataclass(frozen=True)
 class RecordMeta:
+    """The .ecgz header: channels, sample rate, resync spacing, predictor order and lengths."""
+
     channel_count: int
     sample_rate_hz: int
     resync_interval_samples: int
@@ -168,6 +170,8 @@ class WireGap:
 
 @dataclass
 class WireDecodeResult:
+    """Per-channel frame streams rebuilt from wire units, and the gaps found in them."""
+
     channels: list[list[int | None]]  # None marks a lost frame
     gaps: list[WireGap] = field(default_factory=list)
 

@@ -72,6 +72,8 @@ RESYNC_RAW_SAMPLES = 2
 
 @dataclass(frozen=True)
 class FrameType:
+    """One 16-bit frame layout: its header and equal-width fields."""
+
     tag: str
     header_bits: int
     header_len: int
@@ -128,6 +130,8 @@ _width_list = functools.cache(lambda: width_classes(np.arange(1 << 16, dtype=np.
 
 @dataclass(frozen=True)
 class PendingSample:
+    """A queued sample: its raw value, residual and width class."""
+
     original: int
     error: int
     width: int
@@ -179,6 +183,8 @@ def pack_frame(ftype: FrameType, payload: Sequence[PendingSample]) -> int:
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Resync spacing, channel count and predictor order of an encoder."""
+
     resync_interval_samples: int = DEFAULT_RESYNC_INTERVAL  # 0 disables resync
     channel_count: int = 1
     order: int = 2
@@ -399,3 +405,12 @@ def _check_leads(channels: Sequence[Sequence[int]], config: EncoderConfig) -> No
         raise ValueError(f"got {len(channels)} channels but config says {config.channel_count}")
     if len({len(c) for c in channels}) > 1:
         raise ValueError("channel arrays must have equal lengths; stream unequal channels instead")
+
+
+def bcr(n_samples: int, orig_bits: int, compressed_bits: int) -> float:
+    """Bit compression ratio: original bits over compressed bits."""
+    if n_samples < 0 or orig_bits < 1:
+        raise ValueError("need a non-negative sample count and positive original width")
+    if compressed_bits <= 0:
+        raise ValueError("compressed size must be positive")
+    return n_samples * orig_bits / compressed_bits

@@ -18,8 +18,6 @@ stored samples to them, so a damaged signal file is refused, not archived.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -33,6 +31,8 @@ from .predictor import SAMPLE_MAX, SAMPLE_MIN
 
 @dataclass(frozen=True)
 class SignalSpec:
+    """One signal line of a WFDB header."""
+
     file_name: str
     fmt: int
     gain: float
@@ -46,6 +46,8 @@ class SignalSpec:
 
 @dataclass(frozen=True)
 class WfdbRecord:
+    """A parsed WFDB header: the record line and its signal lines."""
+
     name: str
     signal_count: int
     sampling_frequency: float
@@ -291,6 +293,9 @@ def _parse_csv_block(block: np.ndarray, rows: int, width: int) -> np.ndarray | N
 
 def _read_csv_cells(text: str, channel_count: int | None) -> list[list[int]]:
     """The lenient cell-by-cell parser: every form csv.reader accepts, and every error."""
+    import csv  # only this fallback needs it, so the codec commands start without it
+    import io
+
     channels: list[list[int]] | None = None
     rowno = 0
     try:

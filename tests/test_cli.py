@@ -1,6 +1,9 @@
 """Command line behavior, driven through main() with temp files."""
 
 import csv
+import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -156,6 +159,60 @@ def test_a_rate_the_container_cannot_store_exits_two_before_encoding(tmp_path, c
         f"error: sample rate {float(rate):g} Hz rounds to {stored} Hz; the container holds 1..65535 Hz\n"
     )
     assert not (tmp_path / "out.ecgz").exists()
+
+
+@pytest.mark.parametrize("bits", ["0", "-12", "twelve", "1.5"])
+def test_an_orig_bits_below_one_exits_two_before_reading_input(tmp_path, capsys, bits):
+    src, _ = walk_csv(tmp_path, n=100, nch=1)
+    out = tmp_path / "rec.ecgz"
+    with mock.patch.object(cli, "_load_input", side_effect=AssertionError("read input")):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["compress", str(src), str(out), "--orig-bits", bits])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --orig-bits: must be a positive integer, got {bits!r}\n")
+    assert not out.exists()
+
+
+# Run in a fresh interpreter: the codec commands, then which modules they loaded, then bench.
+_CODEC_PROCESS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from ecgz import cli
+
+tmp = sys.argv[2]
+codes = []
+for src in (tmp + "/rec.csv", tmp + "/rec212"):
+    codes += [
+        cli.main(["compress", src, tmp + "/out.ecgz"]),
+        cli.main(["decompress", tmp + "/out.ecgz", tmp + "/out.csv"]),
+        cli.main(["verify", src, tmp + "/out.ecgz"]),
+    ]
+loaded = sorted(m for m in ("ecgz.bench", "ecgz.baselines", "csv") if m in sys.modules)
+codes.append(cli.main(["bench", "--data", tmp]))
+from ecgz import bench, encoder
+
+print(json.dumps({"codes": codes, "loaded": loaded, "same_bcr": bench.bcr is encoder.bcr}))
+"""
+
+
+def test_the_codec_commands_start_without_the_report_modules(tmp_path):
+    # compress, decompress and verify load no report code; bench, run later in the same process, still works
+    walk_csv(tmp_path, n=600, nch=2, seed=4)
+    rng = np.random.default_rng(4)
+    leads = np.cumsum(rng.integers(-9, 10, size=(2, 3000)), axis=1).clip(-900, 900)
+    write_record(tmp_path, "rec212", leads.tolist(), rate=360)  # its header gives initial values and checksums
+    package_root = Path(ecgz.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", _CODEC_PROCESS, str(package_root), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    assert result == {"codes": [0] * 7, "loaded": [], "same_bcr": True}
+    packed = [line.rsplit(" bcr ", 1)[1] for line in lines if line.startswith(f"{tmp_path / 'rec212'}: ")]
+    benched = [line.split()[2] for line in lines if line.split()[:1] == ["rec212"]]
+    assert len(packed) == 1 and benched == packed
 
 
 def test_main_parses_each_call_afresh_and_dispatches_by_name(tmp_path, capsys):
