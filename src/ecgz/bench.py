@@ -284,7 +284,7 @@ class PredictorReport:
 
 
 def predictor_comparison(
-    record_paths: Sequence[str | Path], orders: Sequence[int] = (1, 2, 3, 4)
+    record_paths: Sequence[str | Path], orders: Sequence[int] = predictor.ORDERS
 ) -> PredictorReport:
     """Score every record and channel under each predictor order."""
     missing: list[str] = []

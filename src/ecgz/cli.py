@@ -21,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compress, container, decoder, decompress, encoder, ingest
+from . import compress, container, decompress, encoder, ingest
 from .errors import EcgzError
-from .predictor import SAMPLE_MAX, SAMPLE_MIN
+from .predictor import ORDERS, SAMPLE_MAX, SAMPLE_MIN
 
 DOWNLOAD_HELP = """\
 No records found. The benchmark records are two-lead Holter archives
@@ -40,26 +40,27 @@ format 212) and point --data or ECGZ_MITDB_DIR at the directory.
 CSV_CHUNK_ROWS = 1 << 14  # rows formatted per write by decompress; its cell table, mask and compress index grow with it
 
 
-def _positive_int(text: str) -> int:
-    """A count such as --orig-bits: an integer of at least 1, else a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, message: str):
+    """An argparse type: convert(text) where ok holds for it, else a usage error (exit 2) that says message."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _rate(text: str) -> float:
-    """A --rate value in Hz: a finite, positive number, else a usage error (exit 2)."""
-    try:
-        rate = float(text)
-    except ValueError:
-        rate = math.nan
-    if not 0 < rate < math.inf:  # false for nan too
-        raise argparse.ArgumentTypeError(f"sample rate must be a finite, positive number, got {text!r}")
-    return rate
+# Every comparison with nan is false, so the float types refuse it.
+_positive_int = _checked(int, lambda v: v >= 1, "must be a positive integer")  # a count such as --orig-bits
+_non_negative_int = _checked(int, lambda v: v >= 0, "must be a non-negative integer")
+_rate = _checked(float, lambda v: 0 < v < math.inf, "sample rate must be a finite, positive number")  # in Hz
+_positive_seconds = _checked(float, lambda v: 0 < v < math.inf, "must be a finite, positive number")
+_non_negative_seconds = _checked(float, lambda v: 0 <= v < math.inf, "must be a finite, non-negative number")
 
 
 @functools.cache  # built on first use; main dispatches by name, so a cmd_* patched later still runs
@@ -72,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--channels", type=int, default=None, help="expected channel count for CSV input")
 
     def add_codec_flags(sp):
-        sp.add_argument("--resync-seconds", type=float, default=4.0, help="resync spacing in seconds (0 disables)")
-        sp.add_argument("--resync-samples", type=int, default=None, help="resync spacing in samples, overrides --resync-seconds")
-        sp.add_argument("--order", type=int, default=2, choices=(1, 2, 3, 4), help="predictor order")
+        seconds, samples = "resync spacing in seconds (0 disables)", "resync spacing in samples, overrides --resync-seconds"
+        sp.add_argument("--resync-seconds", type=_non_negative_seconds, default=4.0, help=seconds)
+        sp.add_argument("--resync-samples", type=_non_negative_int, default=None, help=samples)
+        sp.add_argument("--order", type=int, default=2, choices=ORDERS, help="predictor order")
 
     sp = sub.add_parser("compress", help="pack a recording into a .ecgz container")
     sp.add_argument("input", type=Path)
@@ -112,10 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loss-prob", type=float, default=0.001, help="per-unit drop probability for random mode")
     sp.add_argument("--burst-length", type=int, default=2)
     sp.add_argument("--unit-index", type=int, default=None, help="fix the dropped unit instead of a seeded choice")
-    sp.add_argument("--runs", type=int, default=1, help="number of seeded simulations")
+    sp.add_argument("--runs", type=_positive_int, default=1, help="number of seeded simulations")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--rate", type=_rate, default=360.0, help="sample rate for synthetic and CSV input")
-    sp.add_argument("--duration", type=float, default=30.0, help="synthetic input length in seconds")
+    sp.add_argument("--duration", type=_positive_seconds, default=30.0, help="synthetic input length in seconds")
     add_codec_flags(sp)
     sp.add_argument("--out", type=Path, default=None, help="write a CSV of per-run results")
     return p
@@ -124,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _codec_config(args, rate: float, channel_count: int = 1) -> encoder.EncoderConfig:
     """The EncoderConfig the add_codec_flags flags ask for, --resync-seconds counted at rate."""
     samples, seconds = args.resync_samples, args.resync_seconds
-    if (seconds if samples is None else samples) < 0:
-        raise ValueError("resync spacing cannot be negative")
     interval = int(round(seconds * rate)) if samples is None else samples
     return encoder.EncoderConfig(resync_interval_samples=interval, channel_count=channel_count, order=args.order)
 
@@ -198,15 +198,14 @@ def cmd_decompress(args) -> int:
 def cmd_verify(args) -> int:
     fmt = _detect_format(args.original, args.format)
     channels, _ = _load_input(args.original, fmt, args.channels, 0.0)
-    meta, channel_words = container.read_ecgz(args.compressed.read_bytes())
+    meta, decoded_channels = decompress(args.compressed.read_bytes())
     if len(channels) != meta.channel_count:
         print(f"channel count differs: source {len(channels)}, container {meta.channel_count}")
         return 1
-    for ch, samples in enumerate(channels):
+    for ch, (samples, decoded) in enumerate(zip(channels, decoded_channels)):
         if meta.sample_counts[ch] != len(samples):
             print(f"channel {ch}: length differs, source {len(samples)}, container {meta.sample_counts[ch]}")
             return 1
-        decoded, _ = decoder._decode(channel_words[ch], meta.sample_counts[ch], meta.predictor_order)
         differ = np.flatnonzero(samples != decoded)
         if differ.size:
             i = int(differ[0])
@@ -250,7 +249,7 @@ def cmd_bench(args) -> int:
     from . import bench
 
     def evaluate(paths):
-        cfg = _codec_config(args, 0.0)  # checks both flags; without --resync-samples, each record's own rate
+        cfg = _codec_config(args, 0.0)  # without --resync-samples, --resync-seconds at each record's own rate
         seconds = args.resync_seconds if args.resync_samples is None else None
         m_values = tuple(int(v) for v in args.m.split(","))
         return bench.run_database_eval(paths, cfg, orig_bits=args.orig_bits, m_values=m_values, resync_seconds=seconds)
@@ -282,6 +281,8 @@ def cmd_simulate_loss(args) -> int:
 
     if args.record == "synthetic":
         n = int(round(args.duration * args.rate))
+        if not n:
+            raise ValueError(f"--duration {args.duration:g} s at {args.rate:g} Hz holds no sample")
         channels = [bench.synthetic_ecg(n, args.rate, seed=args.seed)]
         rate = args.rate
     else:

@@ -37,7 +37,7 @@ from .errors import (
     CountMismatchError,
     TruncationError,
 )
-from .predictor import int_array
+from .predictor import ORDERS, int_array
 
 MAGIC = b"ECGZ"
 VERSION = 1
@@ -65,7 +65,7 @@ class RecordMeta:
             raise ValueError("sample rate must fit 16 bits")
         if not 0 <= self.resync_interval_samples <= 0xFFFFFFFF:
             raise ValueError("resync interval must fit 32 bits")
-        if not 1 <= self.predictor_order <= 4:
+        if self.predictor_order not in ORDERS:
             raise ValueError("predictor order must be 1..4")
         if any(n < 0 or n > 0xFFFFFFFF for n in self.sample_counts):
             raise ValueError("sample counts must fit 32 bits")
@@ -105,7 +105,7 @@ def read_ecgz(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:
         raise BadVersionError(f"unsupported version {version}")
     if not 1 <= channel_count <= MAX_CHANNELS:
         raise ContainerError(f"channel count {channel_count} outside 1..{MAX_CHANNELS}")
-    if not 1 <= order <= 4:
+    if order not in ORDERS:
         raise ContainerError(f"predictor order {order} outside 1..4")
     off = 4 + _HEAD.size
     if len(data) < off + 8 * channel_count:

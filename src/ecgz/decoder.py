@@ -1,23 +1,23 @@
 """Frame parsing and sample reconstruction, with and without erasures.
 
 One array core, _decode, serves both decoders. It places the fields as
-encoder._pack packs them, one pass per frame type, from a table of every
-16-bit word's fields built once per process. Type E fields are raw
-samples, the other fields residuals, and the history starts as L zeros,
-exactly as in the encoder; the Type E frames' positions bound the runs
-of residual samples. An order-L slope predictor is an L-th difference,
-so on a run the output is the L-fold running sum of its residuals plus a
-sequence that the predictor continues exactly from the L outputs before
-the run: a power of the predictor's companion matrix takes those L to
-the run's last L. Runs fewer than L raw samples apart chain, which makes
-the last L outputs of the runs an affine recurrence over runs; one
-doubling scan solves it for every run at once. The fields are the
-output's L-th differences but at raw samples, where the L-th difference
-is the field minus its prediction. So one running sum of the fields,
-shared with the scan, plus a step function of those corrections, then
-L - 1 more running sums rebuild the stream, in wrapping int16
-arithmetic that is exact up to the first out-of-range sample (_decode
-says why).
+encoder._pack packs them, one pass per frame type, each field read by
+two shifts that its FrameType's header length and field width give. Type
+E fields are raw samples, the other fields residuals, and the history
+starts as L zeros, exactly as in the encoder; the Type E frames'
+positions bound the runs of residual samples. An order-L slope predictor
+is an L-th difference, so on a run the output is the L-fold running sum
+of its residuals plus a sequence that the predictor continues exactly
+from the L outputs before the run: a power of the predictor's companion
+matrix takes those L to the run's last L. Runs fewer than L raw samples
+apart chain, which makes the last L outputs of the runs an affine
+recurrence over runs; one doubling scan solves it for every run at once.
+The fields are the output's L-th differences but at raw samples, where
+the L-th difference is the field minus its prediction. So one running
+sum of the fields, shared with the scan, plus a step function of those
+corrections, then L - 1 more running sums rebuild the stream, in
+wrapping int16 arithmetic that is exact up to the first out-of-range
+sample (_decode says why).
 
 _decode states the one defect rule for both: the first defect in stream
 order raises, and a short stream raises only when no frame was erased.
@@ -31,7 +31,8 @@ The core finds, from the boundaries of the runs of raw samples, where
 each erasure's resync happens. Because a lost frame may have carried
 1..6 samples, erased frames contribute no output positions and the
 caller aligns the result against whatever ground truth it holds.
-ecgz.decompress, ecgz verify and the loss harness call _decode directly.
+ecgz.decompress (and through it ecgz verify) and the loss harness call
+_decode directly.
 """
 
 from __future__ import annotations
@@ -72,32 +73,20 @@ def parse_header(word: int) -> FrameType:
     return _TYPE_BY_COUNT[count]
 
 
-def _field(word, ftype: FrameType, j: int):
-    """Field j of frame words of type ftype, sign-extended (ints or int arrays)."""
-    half = 1 << (ftype.field_width - 1)
-    raw = (word >> (16 - ftype.header_len - ftype.field_width * (j + 1))) & (2 * half - 1)
-    return (raw ^ half) - half
+def _field(words, ftype: FrameType, j: int):
+    """Field j of int16 frame words of type ftype (a scalar or an array), sign-extended.
+
+    The left shift drops the header and the fields before j; the
+    arithmetic right shift brings the field down with its sign.
+    """
+    return (words << (ftype.header_len + ftype.field_width * j)) >> (16 - ftype.field_width)
 
 
 def unpack_frame(word: int) -> DecodedFrame:
     """Split a frame word into its type and sign-extended field values."""
     ftype = parse_header(word)
-    return DecodedFrame(ftype, [_field(word, ftype, j) for j in range(ftype.field_count)])
-
-
-@functools.cache
-def _field_table() -> np.ndarray:
-    """Every 16-bit word's sign-extended fields as a (6, 65536) int16 table, one row per field, zero-padded.
-
-    Columns of the reserved header are all zero. Built on first use, once per process.
-    """
-    words = np.arange(1 << 16)
-    table = np.zeros((6, words.size), dtype=np.int16)
-    for ft in FRAME_TYPES.values():
-        w = words[_COUNT_BY_TOP4[words >> 12] == ft.field_count]
-        for j in range(ft.field_count):
-            table[j, w] = _field(w, ft, j)
-    return table
+    w = np.uint16(word).astype(np.int16)
+    return DecodedFrame(ftype, [int(_field(w, ftype, j)) for j in range(ftype.field_count)])
 
 
 # The counts indexed by the top four bits clipped to -1..16, plus one; non-words count 0.
@@ -153,15 +142,15 @@ def _decode(
 
     buf = np.zeros(n, dtype=np.int16)  # L zeros of history, then every field
     raw = np.empty(0, dtype=np.intp)  # until the Type E pass, if any
-    for count in _TYPE_BY_COUNT:  # one pass per type, the mirror of encoder._pack
+    for count, ftype in _TYPE_BY_COUNT.items():  # one pass per type, the mirror of encoder._pack
         frames = (counts == count).nonzero()[0]
         if not frames.size:
             continue
-        w, at = words.take(frames), starts.take(frames)
-        for j, column in enumerate(_field_table()[:count]):
+        w, at = words.take(frames).astype(np.int16), starts.take(frames)  # valid words: the cast wraps exactly
+        for j in range(count):
             if j:
                 at += 1
-            buf[at] = column.take(w)
+            buf[at] = _field(w, ftype, j)
         if count == 1:
             raw = at  # Type E, the one single-sample frame: its samples in stream order
     bounds = np.concatenate(([L - 1], raw, [n]))  # the last history zero, the raw samples and a stop mark n

@@ -35,6 +35,7 @@ PREDICTOR_COEFFS: dict[int, tuple[int, ...]] = {
     3: (3, -3, 1),
     4: (4, -6, 4, -1),
 }
+ORDERS = tuple(PREDICTOR_COEFFS)
 
 
 def coefficients(order: int) -> tuple[int, ...]:

@@ -104,6 +104,20 @@ def test_verify_catches_channel_count_mismatch(tmp_path, capsys):
     assert cli.main(["verify", str(single), str(packed)]) == 1
 
 
+def test_verify_reports_a_decode_error_before_the_channel_count(tmp_path, capsys):
+    # verify decodes through ecgz.decompress first, so a corrupt archive exits 2 whatever the source
+    src, chans = walk_csv(tmp_path, n=40, nch=2)
+    words = [encoder.encode_channel(c) for c in chans]
+    words[1][3] = 0x2ABC  # a reserved header
+    packed = tmp_path / "rec.ecgz"
+    packed.write_bytes(container.write_ecgz(ecgz.RecordMeta(2, 512, 0, 2, (40, 40)), words))
+    single = tmp_path / "one.csv"
+    write_csv(single, chans[:1])
+    for source in (src, single):
+        assert cli.main(["verify", str(source), str(packed)]) == 2
+        assert capsys.readouterr() == ("", "error: word 0x2ABC uses the reserved 0010 header\n")
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     assert cli.main(["compress", str(tmp_path / "none.csv"), str(tmp_path / "x.ecgz")]) == 2
     assert "no such file" in capsys.readouterr().err
@@ -171,6 +185,42 @@ def test_an_orig_bits_below_one_exits_two_before_reading_input(tmp_path, capsys,
     assert exit_.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument --orig-bits: must be a positive integer, got {bits!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rule",
+    [
+        ("compress", "--resync-seconds", "inf", "must be a finite, non-negative number"),
+        ("compress", "--resync-seconds", "nan", "must be a finite, non-negative number"),
+        ("compress", "--resync-seconds", "-1", "must be a finite, non-negative number"),
+        ("compress", "--resync-samples", "-1", "must be a non-negative integer"),
+        ("simulate-loss", "--resync-seconds", "inf", "must be a finite, non-negative number"),
+        ("simulate-loss", "--duration", "inf", "must be a finite, positive number"),
+        ("simulate-loss", "--duration", "nan", "must be a finite, positive number"),
+        ("simulate-loss", "--duration", "0", "must be a finite, positive number"),
+        ("simulate-loss", "--duration", "-5", "must be a finite, positive number"),
+        ("simulate-loss", "--runs", "0", "must be a positive integer"),
+        ("simulate-loss", "--runs", "-1", "must be a positive integer"),
+    ],
+)
+def test_a_spacing_duration_or_run_count_out_of_range_is_a_usage_error(tmp_path, capsys, command, flag, value, rule):
+    # exit 2 with argparse's message before any input is read: an inf spacing would overflow when rounded to
+    # samples, and zero runs or a duration of no sample would pass with nothing simulated
+    src, _ = walk_csv(tmp_path, n=100, nch=1)
+    out = tmp_path / "rec.ecgz"
+    paths = [str(src), str(out)] if command == "compress" else []
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *paths, flag, value])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: argument {flag}: {rule}, got {value!r}\n")
+    assert not out.exists()
+
+
+def test_a_duration_that_holds_no_sample_exits_two(capsys):
+    assert cli.main(["simulate-loss", "--duration", "0.001"]) == 2
+    assert capsys.readouterr() == ("", "error: --duration 0.001 s at 360 Hz holds no sample\n")
 
 
 # Run in a fresh interpreter: the codec commands, then which modules they loaded, then bench.

@@ -1,5 +1,7 @@
 """Frame parsing, lossless decoding, and erasure-resilient decoding."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from conftest import pending, queue_of
 from ecgz import decoder, encoder
 from ecgz.encoder import FRAME_TYPES, EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError, ReservedHeaderError, TruncationError
-from oracle import decode_resilient_scalar, frame_sample_count
+from oracle import decode_resilient_scalar, frame_sample_count, pack_scalar
 
 FIELD_COUNTS = {"A": 3, "B": 2, "C": 4, "D": 6, "E": 1}
 
@@ -37,22 +39,34 @@ def test_reserved_header_raises():
 
 
 def test_every_word_parses_by_its_header_bits_exhaustively():
-    # parse_header and _sample_counts share one table; check both against the FrameType headers,
-    # and the core's field table, zero-padded to 6 fields, against unpack_frame
+    # parse_header and _sample_counts share one table; check both against the FrameType headers
     counts = decoder._sample_counts(np.arange(1 << 16))
-    table = decoder._field_table()
-    assert table.shape == (6, 1 << 16) and table.dtype == np.int16
     for word in range(1 << 16):
         matching = [ft for ft in FRAME_TYPES.values() if word >> (16 - ft.header_len) == ft.header_bits]
         if word >> 12 == encoder.RESERVED_HEADER_BITS:
-            assert matching == [] and counts[word] == 0 and not table[:, word].any()
+            assert matching == [] and counts[word] == 0
             with pytest.raises(ReservedHeaderError):
                 decoder.parse_header(word)
         else:
             assert decoder.parse_header(word) == matching[0] and len(matching) == 1
             assert counts[word] == matching[0].field_count
-            fields = decoder.unpack_frame(word).fields
-            assert table[:, word].tolist() == fields + [0] * (6 - len(fields))
+
+
+def test_the_core_and_unpack_frame_place_every_field_of_every_valid_word():
+    # Every valid word, packed by the oracle from its field values, each followed by an E(0) word that
+    # resets the order-1 history: a frame decodes to the running sums of its fields (E: its raw sample),
+    # then 0, so no sample leaves the 12-bit range. One _decode call places all 61,440 words.
+    words, expected = [], []
+    for ft in FRAME_TYPES.values():
+        half = 1 << (ft.field_width - 1)
+        for values in itertools.product(range(-half, half), repeat=ft.field_count):
+            word = pack_scalar(ft.field_count, values)
+            assert decoder.unpack_frame(word) == (ft, list(values))
+            words += [word, pack_scalar(1, [0])]
+            expected += [*(values if ft.carries_original else itertools.accumulate(values)), 0]
+    assert len(words) == 2 * (32**3 + 128**2 + 8**4 + 4**6 + 4096)
+    out, known = decoder._decode(words, len(expected), 1)
+    assert out.tolist() == expected and known.all()
 
 
 def test_sample_counts_follow_parse_header_on_every_word_and_on_non_words():
