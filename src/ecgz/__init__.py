@@ -32,15 +32,14 @@ __all__ = [
 def compress(channels, sample_rate_hz: int, config: EncoderConfig | None = None) -> bytes:
     """Encode equal-length channel arrays straight into container bytes."""
     cfg = config or EncoderConfig(channel_count=len(channels) or 1)
-    words = encoder.encode_channels(channels, cfg)
-    meta = RecordMeta(
+    meta = RecordMeta(  # checks the header's fields before any encoding
         channel_count=len(channels),
         sample_rate_hz=sample_rate_hz,
         resync_interval_samples=cfg.resync_interval_samples,
         predictor_order=cfg.order,
         sample_counts=tuple(len(c) for c in channels),
     )
-    return container.write_ecgz(meta, words)
+    return container.write_ecgz(meta, encoder.encode_channels(channels, cfg))
 
 
 def decompress(data: bytes) -> tuple[RecordMeta, list[np.ndarray]]:

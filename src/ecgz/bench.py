@@ -174,9 +174,13 @@ def evaluate_channels(
     half = 1 << (escape_bits - 1)  # every residual is at least -half: the histogram counts from there
     rows = []
     for ch, samples in enumerate(channels):
-        _, err, starts = encoder._frame_starts(samples, config)  # the frame walk, and its residuals for the histogram
-        raw, bits = len(samples) * orig_bits, 16 * starts.size
-        counts = np.bincount(np.add(err, half, dtype=np.intp))
+        frames, counts = 0, np.zeros(0, dtype=np.intp)
+        for _, err, starts, m in encoder._blocks(samples, config):  # the frame walk, and its residuals for the histogram
+            frames += starts.size
+            block = np.bincount(np.add(err[:m], half, dtype=np.intp), minlength=counts.size)
+            block[: counts.size] += counts
+            counts = block
+        raw, bits = len(samples) * orig_bits, 16 * frames
         symbols = np.flatnonzero(counts)  # the residuals that occur, ascending, offset by half
         hist = dict(zip((symbols - half).tolist(), counts[symbols].tolist()))
         ideal = baselines.ideal_huffman_bits_from_hist(hist)
@@ -186,7 +190,7 @@ def evaluate_channels(
                 record=record_name,
                 channel=ch,
                 n_samples=len(samples),
-                frame_count=starts.size,
+                frame_count=frames,
                 compressed_bits=bits,
                 bcr=raw / bits,
                 ideal_bits=ideal,

@@ -19,8 +19,8 @@ starts at sample q goes out when sample q + SEND_LAG (5) arrives, or in
 the flush at the end of input. SEND_LAG states that schedule once: the
 core, the streaming encoder's table and the loss harness read it. The
 array core (encode_channel, run per lead by encode_channels) states each
-frame rule once: _frame_counts selects, _frame_walk walks, and _PACKERS,
-one shift-and-or expression per type, packs a whole numpy pass. The
+frame rule once: _frame_counts selects, _Walk walks, and _PACKERS, one
+shift-and-or expression per type, packs a whole numpy pass. The
 streaming ChannelEncoder looks each frame size up in a table that
 _frame_counts builds over every window of six width classes, packs one
 frame with the same _PACKERS, and flushes its queue through the core.
@@ -32,12 +32,23 @@ samples. The resync fired after sample s - 1 makes Type E the next
 RESYNC_RAW_SAMPLES frames to go out, from sample s on, so the first of
 them starts at s - SEND_LAG or later; the flush ignores a pending resync.
 
-The core finds every frame start without a per-frame loop. A step table
-sends each position to the start of the next frame, with the forced E
-frames of each resync folded in at the few positions just before it.
-Pointer doubling over that table jumps 32 frames at a time, so a short
-loop collects one anchor per 32 frames, and gathers of the step table
-fill in the frames between anchors.
+The core runs over a lead in blocks of _BLOCK samples (_blocks), so its
+work stays in cache and its memory is one block's, whatever the lead's
+length. Each block computes its residuals, with the L samples before it
+as history; its frame sizes, with the SEND_LAG samples after it as
+look-ahead; its frame starts; and its words. What a block hands the next
+is the walk's state: the first frame start past the block, which is at
+most SEND_LAG samples on, or, inside a resync's forced E frames, where
+they end, which at resync intervals of 1 or 2 is the flush, blocks on.
+The resync stops are absolute (k * interval), so each block finds its
+own. The words of the blocks, one after another, are the lead's words.
+
+The core finds every frame start in a block without a per-frame loop. A
+step table sends each position to the start of the next frame, with
+the forced E frames of each resync folded in at the few positions just
+before it. Pointer doubling over that table jumps 32 frames at a time,
+so a short loop collects one anchor per 32 frames, and gathers of the
+step table fill in the frames between anchors.
 
 The core runs at the datapath's widths. Samples and residuals are int16,
 which is exact: an order-L residual of 12-bit input, the L-th difference,
@@ -45,8 +56,8 @@ spans at most 4095 * 2**(L-1) = 32,760, and each lower difference less.
 Width classes (int8) and frame sizes are sums of comparisons, not table
 gathers. The step tables and the packing gathers index with intp, numpy's
 own index type: take converts any other index to a fresh intp copy first.
-Words are or-ed together from the uint16 bit patterns and widened to
-int64 once, at the end.
+Words are or-ed together from the uint16 bit patterns, a block at a time,
+and widened to int64 once, as the blocks are joined.
 """
 
 from __future__ import annotations
@@ -54,7 +65,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -254,17 +265,33 @@ class ChannelEncoder:
 
 def encode_channel(samples: Sequence[int], config: EncoderConfig | None = None) -> np.ndarray:
     """Encode one whole channel into int64 frame words; equals push_sample over samples then flush."""
-    return _pack(*_frame_starts(samples, config or EncoderConfig()))
+    words = [_pack(x, err, starts) for x, err, starts, _ in _blocks(samples, config or EncoderConfig())]
+    return np.concatenate(words, dtype=np.int64)
 
 
-def _frame_starts(samples: Sequence[int], config: EncoderConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The samples and residuals as int16, and the first sample of every frame encode_channel emits.
+# Samples per block of the array core: its tables stay in cache, and a lead's
+# peak memory is its words plus one block's work.
+_BLOCK = 1 << 16
 
-    The residuals' width classes give the greedy frame size at every
-    position (_frame_counts), and those sizes the frame starts (_frame_walk).
+
+def _blocks(samples: Sequence[int], config: EncoderConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+    """Walk one lead block by block: per block, (x, err, starts, m).
+
+    The block holds samples b0 to b0 + m. x and err are its samples and
+    residuals (int16) from b0 up to the first frame start after it, so
+    they hold every sample of the frames that start in the block;
+    starts are those frames' first samples, less b0. The residuals take
+    the L samples before b0 as history, and the frame sizes the
+    SEND_LAG samples after the block as look-ahead.
     """
-    x, err = predictor.narrow_residuals(samples, config.order)  # validates sample range
-    return x, err, _frame_walk(_frame_counts(width_classes(err)), config.resync_interval_samples, RESYNC_RAW_SAMPLES)
+    x = predictor.narrow_samples(samples)  # validates sample range
+    n = x.size
+    walk = _Walk(n, config.resync_interval_samples, RESYNC_RAW_SAMPLES)
+    for b0 in range(0, max(n, 1), _BLOCK):  # a lead of no samples is one empty block
+        b1 = min(b0 + _BLOCK, n)
+        err = predictor.block_residuals(x, b0, min(b1 + SEND_LAG, n), config.order)
+        starts = walk.step(b0, _frame_counts(width_classes(err))[: b1 - b0])
+        yield x[b0 : walk.at], err[: walk.at - b0], starts, b1 - b0
 
 
 def _frame_counts(widths: np.ndarray) -> np.ndarray:
@@ -273,7 +300,9 @@ def _frame_counts(widths: np.ndarray) -> np.ndarray:
     The type conditions nest (D implies C implies A implies B), so the
     priority winner's size is 1 + [B] + [A] + [C] + 2[D]. Widths past the
     end are padded above ESC, so the same rule serves the final flush,
-    where only types that fit the short queue qualify.
+    where only types that fit the short queue qualify. A block passes
+    its SEND_LAG samples of look-ahead and keeps the sizes of its own
+    positions, which read no padding unless the lead ends there.
     """
     w = np.concatenate([widths, np.full(SEND_LAG, ESC + 1, dtype=widths.dtype)])  # the last window reads past the end
     w2 = np.maximum(w[:-1], w[1:])  # wk[i]: widest of the k samples from i
@@ -306,7 +335,13 @@ def _forced_end(landing: np.ndarray, last: int, interval: int, e_frames: int) ->
 
 
 def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
-    """First sample of every frame, given the greedy frame size at every position.
+    """First sample of every frame, given the greedy frame size at every position: _Walk over blocks of counts."""
+    walk = _Walk(counts.size, interval, e_frames)
+    return np.concatenate([b0 + walk.step(b0, counts[b0 : b0 + _BLOCK]) for b0 in range(0, max(counts.size, 1), _BLOCK)])
+
+
+class _Walk:
+    """The frame starts of one n-sample lead, found a block at a time.
 
     The frame starting at qs goes out when sample qs + SEND_LAG arrives, or
     in the final flush once qs + SEND_LAG >= n. A resync fired after sample
@@ -315,82 +350,119 @@ def _frame_walk(counts: np.ndarray, interval: int, e_frames: int) -> np.ndarray:
     is greedy except where a frame lands at or after a stop
     k * interval - SEND_LAG.
 
-    - Step table: position i steps to i + counts[i]. Only the SEND_LAG + 1
-      positions before each stop can step onto or over it; from those,
-      a landing before the flush steps on to where its forced E frames
-      end (_forced_end), and the forced frames are put back at the end.
-    - Pointer doubling: _DOUBLINGS gathers make a table that jumps
-      2**_DOUBLINGS frames, a Python loop collects every such anchor of
-      the chain from the first frame, and gathers of the step table fill
-      in the frames between anchors. Two tables hold the levels in turn.
-      A chain shorter than one jump has its first frame as sole anchor
-      and builds no jump table.
+    The state between blocks: at, the first frame start not yet walked,
+    and forced. Every position from at up to forced starts a forced single
+    frame; the chain goes on from forced. A forced run can end several
+    blocks on (at resync intervals up to e_frames it lasts to the flush).
     """
-    n = counts.size
-    last = n - SEND_LAG  # frames from here on go out in the flush
-    step = np.arange(n + 1, dtype=np.intp)  # step[n] = n ends every chain
-    step[:n] += counts
-    start, froms = 0, np.zeros(0, dtype=np.int64)
-    if interval and last > max(interval - SEND_LAG, 0):  # a resync fires before the flush
-        # the SEND_LAG + 1 positions before each stop, fewer where stops are closer
-        froms = (np.arange(interval - SEND_LAG, last, interval)[:, None] - np.arange(min(interval, SEND_LAG + 1), 0, -1)).ravel()
-        froms = froms[froms >= 0]
-        landings = froms + counts[froms]
-        # a stop in (from, landing]
-        hit = (landings < last) & ((landings + SEND_LAG) // interval > (froms + SEND_LAG) // interval)
-        froms, landings = froms[hit], landings[hit]
-        ends = _forced_end(landings, last, interval, e_frames)
-        step[froms] = ends
-        if interval <= SEND_LAG:  # the first resync fires before the first frame goes out
-            start = int(_forced_end(np.zeros(1, dtype=np.int64), last, interval, e_frames)[0])
-    anchors = [start]  # a chain from start reaches n within n - start frames, so one anchor covers it
-    if n - start >= 1 << _DOUBLINGS:
-        # mode="clip" never clips (every entry indexes the table) but lets take write into out unbuffered
-        jump, spare = step.take(step), np.empty_like(step)
-        for _ in range(_DOUBLINGS - 1):
-            jump.take(jump, out=spare, mode="clip")
-            jump, spare = spare, jump
-        del spare
-        jumps = memoryview(jump)  # a memoryview indexes to plain ints
-        a = jumps[start]
-        while a < n:
-            anchors.append(a)
-            a = jumps[a]
-        del jumps, jump
-    # row k: k frames past each anchor
-    chain = np.empty((min(1 << _DOUBLINGS, n - start + 1), len(anchors)), dtype=np.intp)
-    chain[0] = anchors
-    rows = list(chain)
-    for prev, row in zip(rows, rows[1:]):
-        step.take(prev, out=row, mode="clip")
-    chain = chain.T.ravel()
-    starts = chain[: np.searchsorted(chain, n)]
-    if froms.size:  # the forced frames follow each from that the chain takes
-        at = np.searchsorted(starts, froms)
-        taken = starts[np.minimum(at, starts.size - 1)] == froms  # starts is not empty when froms is not
-        runs = (ends - landings)[taken]
-        forced = np.arange(runs.sum())  # forced frame q is the (q - before)-th of its run
-        before = np.repeat(np.cumsum(runs) - runs, runs)
-        starts = np.insert(starts, np.repeat(at[taken] + 1, runs), np.repeat(landings[taken], runs) + forced - before)
-    if start:  # the frames before the start are forced ones
-        starts = np.concatenate([np.arange(start), starts])
-    return starts
+
+    def __init__(self, n: int, interval: int, e_frames: int) -> None:
+        self.interval, self.e_frames = interval, e_frames
+        self.last = n - SEND_LAG  # frames from here on go out in the flush
+        self.resync = interval and self.last > max(interval - SEND_LAG, 0)  # a resync fires before the flush
+        self.at = self.forced = 0
+        if self.resync and interval <= SEND_LAG:  # the first resync fires before the first frame goes out
+            self.forced = int(_forced_end(np.zeros(1, dtype=np.int64), self.last, interval, e_frames)[0])
+
+    def step(self, b0: int, counts: np.ndarray) -> np.ndarray:
+        """Starts, less b0, of the frames that start in positions b0 to b0 + counts.size; counts are their sizes.
+
+        - Step table: position i steps to i + counts[i]. The positions from
+          the block's end m on are fixed points, which end every chain.
+          Only the SEND_LAG + 1 positions before each stop can step onto or
+          over it; from those, a landing before the flush steps on to where
+          its forced E frames end (_forced_end), or to m if that is past
+          the block, and the forced frames are put back at the end.
+        - Pointer doubling: _DOUBLINGS gathers make a table that jumps
+          2**_DOUBLINGS frames, a Python loop collects every such anchor of
+          the chain from the block's first frame, and gathers of the step
+          table fill in the frames between anchors. Two tables hold the
+          levels in turn. A chain shorter than one jump has its first
+          frame as sole anchor and builds no jump table.
+        """
+        m, at, forced = counts.size, self.at, self.forced
+        b1 = b0 + m
+        start = max(at, forced) - b0
+        if start >= m:  # no chain in this block: forced frames, or none
+            self.at = max(at, b1)
+            return np.arange(at - b0, min(forced, b1) - b0)
+        step = np.arange(m + SEND_LAG + 1, dtype=np.intp)  # a frame from the block ends at most SEND_LAG past it
+        step[:m] += counts
+        froms = self._froms(b0, b1)
+        if froms.size:
+            landings = froms + counts[froms - b0]
+            # a stop in (from, landing]
+            interval = self.interval
+            hit = (landings < self.last) & ((landings + SEND_LAG) // interval > (froms + SEND_LAG) // interval)
+            froms, landings = froms[hit], landings[hit]
+            ends = _forced_end(landings, self.last, interval, self.e_frames)
+            step[froms - b0] = np.minimum(ends - b0, m)
+        anchors = [start]  # a chain from start reaches m within m - start frames, so one anchor covers it
+        if m - start >= 1 << _DOUBLINGS:
+            # mode="clip" never clips (every entry indexes the table) but lets take write into out unbuffered
+            jump, spare = step.take(step), np.empty_like(step)
+            for _ in range(_DOUBLINGS - 1):
+                jump.take(jump, out=spare, mode="clip")
+                jump, spare = spare, jump
+            del spare
+            jumps = memoryview(jump)  # a memoryview indexes to plain ints
+            a = jumps[start]
+            while a < m:
+                anchors.append(a)
+                a = jumps[a]
+            del jumps, jump
+        # row k: k frames past each anchor
+        chain = np.empty((min(1 << _DOUBLINGS, m - start + 1), len(anchors)), dtype=np.intp)
+        chain[0] = anchors
+        rows = list(chain)
+        for prev, row in zip(rows, rows[1:]):
+            step.take(prev, out=row, mode="clip")
+        chain = chain.T.ravel()
+        starts = chain[: np.searchsorted(chain, m)]
+        final = int(starts[-1])
+        self.at = b0 + final + int(counts[final])  # the first start after the block
+        if froms.size:  # the forced frames follow each from that the chain takes
+            froms -= b0
+            where = np.searchsorted(starts, froms)
+            taken = starts[np.minimum(where, starts.size - 1)] == froms
+            landings, ends = landings[taken], ends[taken]
+            if landings.size and froms[taken][-1] == final:  # its forced frames go on past the block
+                self.at, self.forced = max(int(landings[-1]), b1), int(ends[-1])
+            runs = np.maximum(np.minimum(ends, b1) - landings, 0)  # the forced frames in the block
+            nth = np.arange(runs.sum())  # forced frame q is the (q - before)-th of its run
+            before = np.repeat(np.cumsum(runs) - runs, runs)
+            starts = np.insert(starts, np.repeat(where[taken] + 1, runs), np.repeat(landings - b0, runs) + nth - before)
+        if at < forced:  # forced frames carried into the block come first
+            starts = np.concatenate([np.arange(at - b0, forced - b0), starts])
+        return starts
+
+    def _froms(self, b0: int, b1: int) -> np.ndarray:
+        """The positions in b0..b1 - 1 among the SEND_LAG + 1 before each stop (fewer where stops are closer)."""
+        if not self.resync:
+            return np.zeros(0, dtype=np.int64)
+        interval, width = self.interval, min(self.interval, SEND_LAG + 1)
+        first = max(-(-(b0 + SEND_LAG + 1) // interval), 1) * interval - SEND_LAG  # the first stop past b0
+        froms = (np.arange(first, min(b1 + width, self.last), interval)[:, None] - np.arange(width, 0, -1)).ravel()
+        return froms[(froms >= b0) & (froms < b1)]
 
 
 def _pack(x: np.ndarray, err: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Frame words, as int64, of the frames that start at starts; x and err are int16.
+    """Frame words, as uint16, of the frames that start at starts and end at the next start or at err.size.
 
-    The sizes between starts name the types; each type is one _PACKERS
-    call on its frames' fields, gathered as one uint16 array per field.
+    x and err are int16. The sizes between starts name the types; each
+    type is one _PACKERS call on its frames' fields, gathered as one uint16
+    array per field.
     """
     sizes = np.diff(starts, append=err.size)
     xu, eu = x.view(np.uint16), err.view(np.uint16)
     words = np.zeros(starts.size, dtype=np.uint16)
     for count in _TYPE_BY_COUNT:  # one pass per type
         frames = np.flatnonzero(sizes == count)  # integer indices gather faster than a boolean mask
+        if not frames.size:  # a short block lacks some types
+            continue
         at = starts.take(frames) + np.arange(count, dtype=starts.dtype)[:, None]
         words[frames] = _PACKERS[count]((xu if count == 1 else eu).take(at))
-    return words.astype(np.int64)
+    return words
 
 
 def encode_channels(channels: Sequence[Sequence[int]], config: EncoderConfig | None = None) -> list[np.ndarray]:

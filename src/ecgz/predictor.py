@@ -91,17 +91,32 @@ def zero_state(order: int) -> list[int]:
     return [0] * len(coefficients(order))
 
 
-def narrow_residuals(samples: Sequence[int], order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The samples and their residuals as int16: the L-th difference after L zeros of history.
-
-    int16 is exact, as residual_bits says: an order-L residual spans at most 4095 * 2**(L-1).
-    int16 samples are range-checked and used as they are.
-    """
-    L = len(coefficients(order))
+def narrow_samples(samples: Sequence[int]) -> np.ndarray:
+    """The samples as a one-dimensional int16 array; int16 samples are range-checked and used as they are."""
     x = int_array(samples, SAMPLE_MIN, SAMPLE_MAX, SAMPLE_CHECK, np.int16)
     if x.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    return x, np.diff(x, n=L, prepend=np.zeros(L, dtype=np.int16))
+    return x
+
+
+def block_residuals(x: np.ndarray, lo: int, hi: int, order: int) -> np.ndarray:
+    """Residuals of the int16 samples x[lo:hi] as int16: the L-th difference, the L samples before lo its history.
+
+    History before the first sample is zeros. int16 is exact, as
+    residual_bits says: an order-L residual spans at most 4095 * 2**(L-1).
+    """
+    L = len(coefficients(order))
+    h = x[max(lo - L, 0) : hi]
+    if lo < L:
+        h = np.concatenate([np.zeros(L - lo, dtype=np.int16), h])
+    return np.diff(h, n=L)
+
+
+def narrow_residuals(samples: Sequence[int], order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The samples and their residuals as int16 (narrow_samples, block_residuals over the whole sequence)."""
+    coefficients(order)  # an unknown order is refused before the samples are checked
+    x = narrow_samples(samples)
+    return x, block_residuals(x, 0, x.size, order)
 
 
 def residuals(samples: Sequence[int], order: int) -> np.ndarray:

@@ -15,6 +15,11 @@ from ecgz import encoder
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# Sizes to patch into encoder._BLOCK at the array core's edges: shorter than one frame, around the
+# widest frame (6 samples) and one doubling jump (32 frames), and around the first 1,440-sample
+# resync stop (sample 1,435)
+BLOCKS = [1, 5, 6, 7, 31, 32, 33, *range(1434, 1447)]
+
 # The 48 half-hour two-lead arrhythmia records every published ratio
 # table averages over.
 MITDB_RECORDS = [

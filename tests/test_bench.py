@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
+from conftest import BLOCKS, REPO_ROOT
 from ecgz import bench, container, decoder, encoder, predictor
 from oracle import audit_channel_scalar, bool_runs_scalar, frame_sample_count, selective_huffman_bits
 from test_ingest import write_record
@@ -145,6 +145,19 @@ def test_evaluate_channels_matches_the_packing_path(order, interval):
         got = scoring_outcome(bench.evaluate_channels, *args)
         assert got == scoring_outcome(rows_by_packing, *args)
         assert n == 0 or type(got) is list
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_evaluate_channels_in_blocks_matches_the_packing_path(block):
+    # frame counts and histograms summed over blocks, against whole-lead encode_channel words and residuals
+    rng = np.random.default_rng(block)
+    order, interval = 1 + block % 4, [0, 1, 2, 5, 6, 7, 1440][block % 7]
+    n = int(rng.integers(0, 3001 if block > 1000 else 20 * block + 40))
+    channels = [random_lead(rng, n) for _ in range(2)]
+    cfg = encoder.EncoderConfig(resync_interval_samples=interval, channel_count=2, order=order)
+    expected = scoring_outcome(rows_by_packing, "r", channels, cfg)
+    with mock.patch.object(encoder, "_BLOCK", block):
+        assert scoring_outcome(bench.evaluate_channels, "r", channels, cfg) == expected
 
 
 @pytest.mark.parametrize(

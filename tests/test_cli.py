@@ -187,6 +187,16 @@ def test_an_orig_bits_below_one_exits_two_before_reading_input(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_resync_spacing_past_32_bits_exits_two_before_encoding(tmp_path, capsys):
+    # the container's header refuses the spacing; it is built before the record is encoded
+    src, _ = walk_csv(tmp_path, n=100, nch=2)
+    out = tmp_path / "rec.ecgz"
+    with mock.patch.object(encoder, "encode_channels", side_effect=AssertionError("encoded")):
+        assert cli.main(["compress", str(src), str(out), "--resync-samples", "5000000000"]) == 2
+    assert capsys.readouterr().err == "error: resync interval must fit 32 bits\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value, rule",
     [

@@ -13,12 +13,15 @@ frames erased.
 
 import itertools
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BLOCKS
 from ecgz import bench, container, decoder, encoder, predictor
 from ecgz.encoder import EncoderConfig
 from ecgz.errors import CorruptStreamError, EcgzError, ReservedHeaderError, TruncationError
@@ -30,6 +33,7 @@ from oracle import (
     frame_starts_scalar,
     predict,
 )
+from test_bench import random_lead
 
 INTERVALS = [0, 1, 2, 5, 7, 13, 50]
 
@@ -102,6 +106,59 @@ def test_frame_walk_matches_the_scalar_walk(interval):
                 got = encoder._frame_walk(counts, interval, e_frames)
                 assert got.dtype == np.int64
                 assert got.tolist() == frame_starts_scalar(counts.tolist(), n, interval, e_frames), (n, kind, e_frames)
+
+
+WALK_KINDS = ["all_D", "all_E", "mixed", "mostly_D", "mostly_E"]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_frame_walk_in_blocks_matches_the_scalar_walk(block):
+    # leads of up to a few dozen blocks; the long blocks see leads past the first 1,440-sample stop, some past the second
+    rng = np.random.default_rng(block)
+    longest = 3000 if block > 1000 else 20 * block + 40
+    with mock.patch.object(encoder, "_BLOCK", block):
+        for i, interval in enumerate([0, 1, 2, 5, 6, 7, 13, 1440]):
+            for e_frames in (1, 2):
+                n, kind = int(rng.integers(longest // 2, longest + 1)), WALK_KINDS[(2 * i + e_frames + block) % 5]
+                counts = encoder._frame_counts(_walk_widths(kind, n, seed=n * 1000 + interval))
+                got = encoder._frame_walk(counts, interval, e_frames)
+                assert got.tolist() == frame_starts_scalar(counts.tolist(), n, interval, e_frames), (n, interval, kind, e_frames)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("interval", [0, 1, 2, 5, 6, 7, 1440])
+def test_encoder_core_in_blocks_matches_the_scalar_encoder(order, interval):
+    # a lead of up to 3,000 samples in blocks of 31-33 and 1,434-1,446, and one of up to 120 in blocks
+    # of 1-7, each against the scalar encoder; the leads have rail-to-rail stretches, escapes at every order
+    k = 4 * interval + order
+    rng = np.random.default_rng(k)
+    cfg = _config(order, interval)
+    lead = random_lead(rng, int(rng.integers(0, 3001)))
+    short = lead[: int(rng.integers(0, 121))]
+    for xs, blocks in ((lead, [BLOCKS[4 + k % 3], BLOCKS[7 + k % 13], BLOCKS[7 + (k + 6) % 13]]), (short, [BLOCKS[k % 4]])):
+        expected = _streamed(ChannelEncoderScalar(cfg), xs.tolist())
+        for block in blocks:
+            with mock.patch.object(encoder, "_BLOCK", block):
+                assert encoder.encode_channel(xs, cfg).tolist() == expected, (xs.size, block)
+
+
+def test_encoder_core_memory_does_not_grow_with_the_lead():
+    # A block's work is bounded by the block. Beyond it, the peak holds the int64 words returned and,
+    # while the blocks are joined, the same words staged at 16 bits: at 2**21 samples the rest must be
+    # no more than at 2**18. The lead is int16, which the core uses as it is.
+    rng = np.random.default_rng(21)
+    steps = rng.integers(-12, 13, size=1 << 21)
+    beyond = []
+    for n in (1 << 18, 1 << 21):
+        lead = np.cumsum(steps[:n]).clip(-2048, 2047).astype(np.int16)
+        tracemalloc.start()
+        try:
+            words = encoder.encode_channel(lead, EncoderConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond.append(peak - words.nbytes - 2 * words.size)
+    assert beyond[1] <= beyond[0] + (1 << 16), beyond
 
 
 def _push(enc, x):
